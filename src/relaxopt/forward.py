@@ -23,7 +23,11 @@ from .tableau import ImexTableau
 
 
 class DivergenceError(RuntimeError):
-    """A stage or step produced non-finite values; carries step and stage indices."""
+    """A stage or step produced non-finite values; carries step and stage indices.
+
+    `time` is the start time of the failing step when the error comes from
+    solve_forward, and None when it comes from a bare imex_step call.
+    """
 
     def __init__(self, step: int, stage: int, time: Optional[float] = None):
         self.step = step
@@ -64,9 +68,9 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _require_finite(arr, step_index, stage_index, time=None):
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(step_index, stage_index, time)
+def _require_finite(arr, step_index, stage_index):
+    if not np.isfinite(arr).all():
+        raise DivergenceError(step_index, stage_index)
 
 
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
@@ -191,7 +195,9 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
     limiter.  The step size follows the CFL rule h = c_cfl * dx / a unless
     `dt` overrides it (used by the temporal order studies); the last step is
     shortened to land on t_final exactly.  The relaxation speed a comes from
-    problem.relax.a when set, else it is recomputed from u0.
+    problem.relax.a when set, else it is recomputed from u0.  A non-finite
+    stage raises DivergenceError with its step, stage and the time at the
+    start of that step.
     """
     grid: Grid = problem.grid
     model: FluxModel = problem.model
@@ -216,20 +222,22 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
             raise ValueError(f"CFL step size must be positive, got {h}")
 
     dts = _plan_steps(t_final, h)
-    y = relax_init(u0, model)
-    steps = [y]
-    stages: List[List[RelaxState]] = []
-    t = 0.0
-    for n, hn in enumerate(dts):
-        y, stage_states = imex_step(tab, op, model, relax.epsilon, y, float(hn),
-                                    step_index=n)
-        steps.append(y)
-        if store_stages:
-            stages.append(stage_states)
-        t += hn
     times = np.concatenate([[0.0], np.cumsum(dts)]) if len(dts) else np.zeros(1)
     if abs(times[-1] - t_final) > 1e-12 * max(1.0, t_final):
         raise AssertionError("step planning failed to land on t_final")
+    y = relax_init(u0, model)
+    steps = [y]
+    stages: List[List[RelaxState]] = []
+    for n, hn in enumerate(dts):
+        try:
+            y, stage_states = imex_step(tab, op, model, relax.epsilon, y, float(hn),
+                                        step_index=n)
+        except DivergenceError as err:
+            # imex_step knows the step index, not the time; add the step's start time
+            raise DivergenceError(err.step, err.stage, float(times[n])) from None
+        steps.append(y)
+        if store_stages:
+            stages.append(stage_states)
     return Trajectory(times=times, steps=steps, stages=stages, h=h,
                       tableau=tab.name, a=a, epsilon=relax.epsilon,
                       dts=dts, tab=tab, op=op, model=model)

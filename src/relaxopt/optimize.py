@@ -104,6 +104,8 @@ def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) ->
         raise ValueError(f"theta must be positive, got {theta}")
     u0 = np.asarray(u0, dtype=float)
     frozen = _frozen_speed_problem(problem, u0)
+    # resolve a registry name once, not once per perturbed solve
+    frozen = replace(frozen, tableau=frozen.resolve_tableau())
     grad = np.zeros_like(u0)
     for i in range(u0.size):
         th = theta * (1.0 + abs(u0[i]))

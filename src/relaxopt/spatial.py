@@ -15,6 +15,14 @@ equation is y' = -D_x g(y) + source).
 The transpose used by the adjoint sweep is the exact linear-algebraic
 transpose of this map; for the limited second-order scheme it transposes the
 linearization with the limiter choices frozen at a given base state.
+
+Periodic neighbours come from four slice helpers, each filling one
+`np.empty_like` buffer: `_prev` (x[i-1]), `_next` (x[i+1]), `_back_diff`
+(x[i] - x[i-1]) and `_fwd_diff` (x[i] - x[i+1]), all with wraparound.  They
+replace numpy's `roll`, which costs several times more per call at these
+sizes.  Each output element sees the same floating-point operations in the
+same order as the `roll` formulas, so the results are bit-identical to them;
+the test-only reference in tests/oracles.py checks that with `np.array_equal`.
 """
 from __future__ import annotations
 
@@ -43,6 +51,38 @@ class SpatialOp:
             raise ValueError(f"unknown limiter '{self.limiter}'; available: minmod")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
+
+
+def _prev(x):
+    """x[i-1] with periodic wraparound (roll by +1)."""
+    out = np.empty_like(x)
+    out[1:] = x[:-1]
+    out[0] = x[-1]
+    return out
+
+
+def _next(x):
+    """x[i+1] with periodic wraparound (roll by -1)."""
+    out = np.empty_like(x)
+    out[:-1] = x[1:]
+    out[-1] = x[0]
+    return out
+
+
+def _back_diff(x):
+    """x[i] - x[i-1] with periodic wraparound (x minus its roll by +1)."""
+    out = np.empty_like(x)
+    np.subtract(x[1:], x[:-1], out=out[1:])
+    out[0] = x[0] - x[-1]
+    return out
+
+
+def _fwd_diff(x):
+    """x[i] - x[i+1] with periodic wraparound (x minus its roll by -1)."""
+    out = np.empty_like(x)
+    np.subtract(x[:-1], x[1:], out=out[:-1])
+    out[-1] = x[-1] - x[0]
+    return out
 
 
 def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,14 +118,14 @@ def _face_values(op: SpatialOp, u, v):
     wp, wm = _char_vars(op, u, v)
     if op.scheme == "upwind1":
         fp = wp
-        fm = np.roll(wm, -1)
+        fm = _next(wm)
     else:
-        dp = wp - np.roll(wp, 1)
-        sp = minmod(dp, np.roll(dp, -1))
+        dp = _back_diff(wp)
+        sp = minmod(dp, _next(dp))
         fp = wp + 0.5 * sp
-        dm = wm - np.roll(wm, 1)
-        sm = minmod(dm, np.roll(dm, -1))
-        fm = np.roll(wm - 0.5 * sm, -1)
+        dm = _back_diff(wm)
+        sm = minmod(dm, _next(dm))
+        fm = _next(wm - 0.5 * sm)
     return fp, fm
 
 
@@ -93,8 +133,8 @@ def _divergence(op: SpatialOp, fp, fm):
     a, dx = op.a, op.grid.dx
     u_face = (fp - fm) / (2.0 * a)
     v_face = 0.5 * (fp + fm)
-    out_u = (v_face - np.roll(v_face, 1)) / dx
-    out_v = a * a * (u_face - np.roll(u_face, 1)) / dx
+    out_u = _back_diff(v_face) / dx
+    out_v = a * a * _back_diff(u_face) / dx
     return out_u, out_v
 
 
@@ -121,42 +161,35 @@ def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> R
     fp_masks, fm_masks = _limiter_masks(op, base)
     du, dv = delta.u, delta.v
     wp, wm = _char_vars(op, du, dv)
-    fp = _face_plus_frozen(wp, fp_masks)
-    fm = _face_minus_frozen(wm, fm_masks)
+    fp = wp + 0.5 * _frozen_slope(wp, fp_masks)
+    fm = _next(wm - 0.5 * _frozen_slope(wm, fm_masks))
     out_u, out_v = _divergence(op, fp, fm)
     return RelaxState(out_u, out_v)
 
 
 def _limiter_masks(op: SpatialOp, base: RelaxState):
     bwp, bwm = _char_vars(op, base.u, base.v)
-    dp = bwp - np.roll(bwp, 1)
-    dm = bwm - np.roll(bwm, 1)
-    return (_minmod_masks(dp, np.roll(dp, -1)),
-            _minmod_masks(dm, np.roll(dm, -1)))
+    dp = _back_diff(bwp)
+    dm = _back_diff(bwm)
+    return (_minmod_masks(dp, _next(dp)),
+            _minmod_masks(dm, _next(dm)))
 
 
-def _face_plus_frozen(wp, masks):
+def _frozen_slope(w, masks):
+    """Limited slope sigma(w) with the minmod branches fixed by `masks`."""
     _, left, right = masks
-    d = wp - np.roll(wp, 1)
-    sig = np.where(left, d, 0.0) + np.where(right, np.roll(d, -1), 0.0)
-    return wp + 0.5 * sig
-
-
-def _face_minus_frozen(wm, masks):
-    _, left, right = masks
-    d = wm - np.roll(wm, 1)
-    sig = np.where(left, d, 0.0) + np.where(right, np.roll(d, -1), 0.0)
-    return np.roll(wm - 0.5 * sig, -1)
+    d = _back_diff(w)
+    return np.where(left, d, 0.0) + np.where(right, _next(d), 0.0)
 
 
 def _slope_transpose(sbar, masks):
     """Transpose of the frozen-limiter slope map sigma(w) back onto w-cotangents.
 
-    Forward: d = w - roll(w,1); sigma = left*d + right*roll(d,-1).
+    Forward: d[i] = w[i] - w[i-1]; sigma[i] = left[i]*d[i] + right[i]*d[i+1].
     """
     _, left, right = masks
-    dbar = np.where(left, sbar, 0.0) + np.roll(np.where(right, sbar, 0.0), 1)
-    return dbar - np.roll(dbar, -1)
+    dbar = np.where(left, sbar, 0.0) + _prev(np.where(right, sbar, 0.0))
+    return _fwd_diff(dbar)
 
 
 def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = None) -> RelaxState:
@@ -172,22 +205,22 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = No
     a, dx = op.a, op.grid.dx
 
     # transpose of the face-difference / back-transform stage
-    vf_bar = (zu - np.roll(zu, -1)) / dx
-    uf_bar = a * a * (zv - np.roll(zv, -1)) / dx
+    vf_bar = _fwd_diff(zu) / dx
+    uf_bar = a * a * _fwd_diff(zv) / dx
     fp_bar = uf_bar / (2.0 * a) + 0.5 * vf_bar
     fm_bar = -uf_bar / (2.0 * a) + 0.5 * vf_bar
 
     if op.scheme == "upwind1":
         wp_bar = fp_bar
-        wm_bar = np.roll(fm_bar, 1)
+        wm_bar = _prev(fm_bar)
     else:
         if base is None:
             raise ValueError("muscl2 transpose needs the linearization base state")
         fp_masks, fm_masks = _limiter_masks(op, base)
         # w+ face: fp = wp + sigma(wp)/2
         wp_bar = fp_bar + 0.5 * _slope_transpose(fp_bar, fp_masks)
-        # w- face: fm = roll(wm - sigma(wm)/2, -1)
-        pre = np.roll(fm_bar, 1)
+        # w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
+        pre = _prev(fm_bar)
         wm_bar = pre - 0.5 * _slope_transpose(pre, fm_masks)
 
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u

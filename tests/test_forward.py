@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaxopt.core import (RelaxConfig, RelaxState, advection_model,
+from relaxopt.core import (FluxModel, RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init, subchar_speed)
 from relaxopt.forward import (DivergenceError, imex_step, imex_step_kform,
                               solve_forward, export_trajectory, _plan_steps)
@@ -251,6 +251,37 @@ def test_divergence_reports_step_index():
         solve_forward(prob, builtin_tableau("imex-euler"), u0)
     assert err.value.step >= 1
     assert err.value.stage >= 0
+    assert err.value.time is not None
+    assert 0.0 < err.value.time < prob.t_final
+    assert f"t={err.value.time:.6g}" in str(err.value)
+
+
+def _nan_on_call(k):
+    """Burgers model whose flux returns NaN on its k-th call (0-based) and only then."""
+    calls = [0]
+
+    def flux(u):
+        out = 0.5 * np.square(u)
+        if calls[0] == k:
+            out = np.full_like(out, np.nan)
+        calls[0] += 1
+        return out
+    return FluxModel(flux=flux, flux_deriv=lambda u: np.multiply(u, 1.0))
+
+
+@pytest.mark.parametrize("stage", range(5))
+def test_divergence_names_the_failing_stage(stage):
+    # the flux is called once by relax_init, then once per stage; ars-443 has
+    # five stages, so call 1 + 2*5 + stage is that stage of step 2
+    tab = builtin_tableau("ars-443")
+    assert tab.s == 5
+    g, _, u0, cfg = _setup(n=40, a=1.8)
+    prob = Problem(g, _nan_on_call(1 + 2 * tab.s + stage), cfg, t_final=1.0)
+    with pytest.raises(DivergenceError) as err:
+        solve_forward(prob, tab, u0)
+    h = prob.c_cfl * g.dx / 1.8
+    assert (err.value.step, err.value.stage) == (2, stage)
+    assert err.value.time == pytest.approx(2.0 * h, rel=1e-12)
 
 
 def test_solve_forward_validates_inputs():

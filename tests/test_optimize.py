@@ -63,6 +63,16 @@ def test_fd_gradient_zero_horizon_limit():
     assert np.array_equal(fd_gradient(prob0, u0), np.zeros(n))
 
 
+def test_fd_gradient_checks_registered_tableau_once(monkeypatch):
+    import relaxopt.tableau as tableau
+    calls = []
+    check_order = tableau.check_order
+    monkeypatch.setattr(tableau, "check_order",
+                        lambda *args, **kw: calls.append(1) or check_order(*args, **kw))
+    fd_gradient(_problem(n=8, t_final=0.0), np.zeros(8))
+    assert len(calls) == 1
+
+
 def test_fd_gradient_truncation_is_second_order():
     prob = _problem(n=50)
     u0 = 0.5 + np.sin(prob.grid.centers)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import roll_apply_dx, roll_apply_dx_linearized, roll_apply_dx_transpose
 from relaxopt.core import RelaxState, make_grid
 from relaxopt.spatial import (SpatialOp, apply_dx, apply_dx_linearized,
                               apply_dx_transpose, minmod)
@@ -188,3 +189,37 @@ def test_unknown_scheme_rejected():
         SpatialOp(g, 1.0, limiter="vanleer")
     with pytest.raises(ValueError):
         SpatialOp(g, 0.0)
+
+
+def _tie_states(n, rng):
+    """Base states whose limiter slopes include exact zeros and exact |x| == |y| ties.
+
+    Small integer fields with a = 2 keep w+- = v +- a*u exact, so neighbouring
+    slopes are often equal (ramps) or zero (plateaus).
+    """
+    i = np.arange(n, dtype=float)
+    yield RelaxState(rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n).astype(float))
+    yield RelaxState(i, np.zeros(n))                        # ramp: equal slopes except at the wrap
+    yield RelaxState(np.floor(i / 2), np.ones(n))           # staircase: alternating zero slopes
+    yield RelaxState(np.zeros(n), np.zeros(n))              # all slopes zero
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 2048])
+def test_slice_stencils_match_roll_oracle_bitwise(n, scheme):
+    rng = np.random.default_rng(n)
+    g = make_grid(0.0, 2.0 * np.pi, n)
+    random_states = [RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+                     for _ in range(5)]
+    cases = [(1.3, b) for b in random_states] + [(2.0, b) for b in _tie_states(n, rng)]
+    for a, base in cases:
+        op = SpatialOp(g, a, scheme=scheme)
+        delta = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+        pairs = [(apply_dx(op, base), roll_apply_dx(op, base)),
+                 (apply_dx_linearized(op, base, delta),
+                  roll_apply_dx_linearized(op, base, delta)),
+                 (apply_dx_transpose(op, delta, base),
+                  roll_apply_dx_transpose(op, delta, base))]
+        for got, want in pairs:
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.v, want.v)
