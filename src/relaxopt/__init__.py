@@ -7,15 +7,15 @@ from .tableau import (ImexTableau, AdjointCoeffs, OrderReport, ZeroWeightError,
                       TableauParseError, make_imex_tableau, adjoint_coeffs,
                       check_order, builtin_tableau, builtin_names, load_tableau_file)
 from .spatial import SpatialOp, minmod, apply_dx, apply_dx_linearized, apply_dx_transpose
-from .forward import (DivergenceError, Trajectory, imex_step, imex_step_kform,
-                      solve_forward, export_trajectory)
+from .forward import (DivergenceError, Trajectory, imex_step, solve_forward,
+                      export_trajectory)
 from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
                       adjoint_step_ark, adjoint_step_xi, adjoint_step_zeta,
                       solve_adjoint, assemble_gradient, export_gradient)
 from .optimize import (ControlProblem, OptimizerReport, cost, reduced_cost,
                        fd_gradient, steepest_descent, alpha_sweep, export_trace)
 from .studies import (OrderStudyResult, TrackingTableRow, GradientReport,
-                      fit_order, temporal_order_study, tracking_table,
+                      fit_order, temporal_order_study, tracking_problem, tracking_table,
                       gradient_report, export_order_study,
                       export_tracking_table, export_gradient_report)
 

@@ -20,17 +20,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (RelaxConfig, RelaxState, burgers_model, make_grid,
-                   relax_init, subchar_speed)
+from .core import RelaxConfig, RelaxState, burgers_model, make_grid, subchar_speed
 from .tableau import (ImexTableau, TableauParseError, builtin_tableau,
                       check_order, load_tableau_file)
-from .spatial import SpatialOp, apply_dx_linearized, apply_dx_transpose
-from .forward import (DivergenceError, imex_step, imex_step_kform,
-                      solve_forward, export_trajectory)
-from .adjoint import solve_adjoint, assemble_gradient
+from .spatial import apply_dx_linearized, apply_dx_transpose
+from .forward import DivergenceError, solve_forward, export_trajectory
+from .adjoint import FORMS, solve_adjoint, assemble_gradient
 from .optimize import ControlProblem, steepest_descent, export_trace
-from .studies import (gradient_report, temporal_order_study, tracking_table,
-                      export_order_study, export_tracking_table)
+from .studies import (_default_u0, gradient_report, temporal_order_study,
+                      tracking_problem, tracking_table, export_order_study,
+                      export_tracking_table)
 
 __all__ = ["RunConfig", "load_config_file", "main"]
 
@@ -41,8 +40,9 @@ class RunConfig:
 
     The defaults reproduce the reference tracking setup: Burgers flux on
     [0, 2*pi], N = 300 cells, T = 2.0, eps = 1e-6, CFL constant 0.5,
-    IMEX-Euler, first-order upwinding, stopping tolerance 1e-2.  seed is
-    reserved for randomized diagnostics and recorded for provenance.
+    IMEX-Euler, first-order upwinding, stopping tolerance 1e-2, and the
+    calibrated descent step 0.097 that gives the reference iteration counts.
+    seed is reserved for randomized diagnostics and recorded for provenance.
     """
     x_min: float = 0.0
     x_max: float = 2.0 * np.pi
@@ -55,7 +55,7 @@ class RunConfig:
     tableau: str = "imex-euler"
     scheme: str = "upwind1"
     limiter: str = "minmod"
-    alpha: float = 0.9
+    alpha: float = 0.097
     tol: float = 1e-2
     max_iter: int = 500
     seed: int = 0
@@ -73,11 +73,9 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 # Defaults a subcommand substitutes for fields the user left untouched.  The
 # order studies run in the resolved regime (epsilon = 1) on a short smooth
-# horizon with a fine grid; the tracking table uses the calibrated descent
-# step that reproduces the reference iteration counts.
+# horizon with a fine grid.
 _SUBCOMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
     "order-study": {"epsilon": 1.0, "t_final": 0.5, "n_cells": 2048},
-    "tracking-table": {"alpha": 0.097},
 }
 
 
@@ -158,10 +156,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"frame_stride must be >= 1, got {cfg.frame_stride}")
 
 
-def _relax_config(cfg: RunConfig) -> RelaxConfig:
-    return RelaxConfig(epsilon=cfg.epsilon, safety=cfg.safety, a_floor=cfg.a_floor)
-
-
 def _tableau(cfg: RunConfig) -> ImexTableau:
     if cfg.tableau_file:
         return load_tableau_file(cfg.tableau_file)
@@ -178,54 +172,43 @@ def _grid_sizes(cfg: RunConfig) -> List[int]:
     return sizes
 
 
-def _standard_profile(x: np.ndarray) -> np.ndarray:
-    return 0.5 + np.sin(x)
-
-
 def _out_path(cfg: RunConfig, filename: str) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, filename)
 
 
-def _base_problem(cfg: RunConfig, u_d: np.ndarray, tab: ImexTableau) -> ControlProblem:
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n_cells)
-    return ControlProblem(grid=grid, model=burgers_model(), relax=_relax_config(cfg),
-                          t_final=cfg.t_final, u_d=u_d, tableau=tab,
+def _base_problem(cfg: RunConfig, tab: ImexTableau, n_cells: int) -> ControlProblem:
+    """The configured problem on n_cells cells, with the placeholder target u_d = 0."""
+    grid = make_grid(cfg.x_min, cfg.x_max, n_cells)
+    relax = RelaxConfig(epsilon=cfg.epsilon, safety=cfg.safety, a_floor=cfg.a_floor)
+    return ControlProblem(grid=grid, model=burgers_model(), relax=relax,
+                          t_final=cfg.t_final, u_d=np.zeros(n_cells), tableau=tab,
                           c_cfl=cfg.c_cfl, scheme=cfg.scheme, limiter=cfg.limiter)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Forward solve from the standard profile; writes trajectory.csv."""
     tab = _tableau(cfg)
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n_cells)
-    problem = _base_problem(cfg, np.zeros(grid.n_cells), tab)
-    u0 = _standard_profile(grid.centers)
-    traj = solve_forward(problem, tab, u0, store_stages=False)
+    problem = _base_problem(cfg, tab, cfg.n_cells)
+    traj = solve_forward(problem, tab, _default_u0(problem.grid.centers),
+                         store_stages=False)
     path = _out_path(cfg, "trajectory.csv")
     export_trajectory(traj, path, stride=cfg.frame_stride, header=_config_header(cfg))
-    print(f"solved {tab.name} on N={grid.n_cells} to T={cfg.t_final} "
-          f"({traj.n_steps} steps, h={traj.h:.6g}, a={traj.a:.6g})")
+    print(f"solved {tab.name} on N={cfg.n_cells} to T={cfg.t_final} "
+          f"({traj.n_steps} steps, h={traj.h:.6g}, a={traj.op.a:.6g})")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    """Tracking run: desired state generated from the standard profile; writes
+    """Tracking run on the target studies.tracking_problem generates; writes
     trace.csv and control.csv."""
     tab = _tableau(cfg)
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n_cells)
-    relax = _relax_config(cfg)
-    source = _standard_profile(grid.centers)
-    relax = dataclasses.replace(relax, a=subchar_speed(burgers_model(), source, relax))
-    probe = ControlProblem(grid=grid, model=burgers_model(), relax=relax,
-                           t_final=cfg.t_final, u_d=np.zeros(grid.n_cells),
-                           tableau=tab, c_cfl=cfg.c_cfl, scheme=cfg.scheme,
-                           limiter=cfg.limiter)
-    traj = solve_forward(probe, tab, source, store_stages=False)
-    problem = dataclasses.replace(probe, u_d=traj.steps[-1].u)
-    u0_start = np.full(grid.n_cells, 0.5)
-    u0, report = steepest_descent(problem, u0_start, alpha=cfg.alpha, tol=cfg.tol,
-                                  max_iter=cfg.max_iter, adjoint_form=cfg.adjoint_form)
+    problem = tracking_problem(_base_problem(cfg, tab, cfg.n_cells), cfg.n_cells)
+    grid = problem.grid
+    u0, report = steepest_descent(problem, np.full(grid.n_cells, 0.5), alpha=cfg.alpha,
+                                  tol=cfg.tol, max_iter=cfg.max_iter,
+                                  adjoint_form=cfg.adjoint_form)
     header = _config_header(cfg)
     trace_path = _out_path(cfg, "trace.csv")
     export_trace(report, trace_path, header=header)
@@ -251,28 +234,20 @@ def _check_battery(cfg: RunConfig, tab: ImexTableau) -> List[tuple]:
     checks.append(("weight-consistency", weight_res <= 1e-12,
                    f"max |sum(weights) - 1| = {weight_res:.2e}"))
 
-    model = burgers_model()
-    grid = make_grid(cfg.x_min, cfg.x_max, 50)
-    relax = RelaxConfig(epsilon=cfg.epsilon, safety=cfg.safety, a_floor=cfg.a_floor)
-    u0 = _standard_profile(grid.centers)
-    a = subchar_speed(model, u0, relax)
-    op = SpatialOp(grid, a, cfg.scheme, cfg.limiter)
-    y0 = relax_init(u0, model)
-    h = cfg.c_cfl * grid.dx / a
-
-    y_a, _ = imex_step(tab, op, model, relax.epsilon, y0, h)
-    y_b = imex_step_kform(tab, op, model, relax.epsilon, y0, h)
-    step_diff = max(float(np.max(np.abs(y_a.u - y_b.u))),
-                    float(np.max(np.abs(y_a.v - y_b.v))))
-    checks.append(("step-form-equivalence", step_diff <= 1e-12,
-                   f"max |stage-form - slope-form| = {step_diff:.2e}"))
+    problem = dataclasses.replace(_base_problem(cfg, tab, 50), t_final=0.5,
+                                  u_d=np.full(50, 0.5))
+    grid, model = problem.grid, problem.model
+    u0 = _default_u0(grid.centers)
+    a = subchar_speed(model, u0, problem.relax)
+    problem = dataclasses.replace(problem, relax=dataclasses.replace(problem.relax, a=a))
+    traj = solve_forward(problem, tab, u0, store_stages=True)
 
     rng = np.random.default_rng(cfg.seed)
     z_u, z_v = rng.standard_normal(grid.n_cells), rng.standard_normal(grid.n_cells)
     w_u, w_v = rng.standard_normal(grid.n_cells), rng.standard_normal(grid.n_cells)
     base = RelaxState(u0, np.asarray(model.flux(u0), float))
-    fwd = apply_dx_linearized(op, base, RelaxState(z_u, z_v))
-    bwd = apply_dx_transpose(op, RelaxState(w_u, w_v), base=base)
+    fwd = apply_dx_linearized(traj.op, base, RelaxState(z_u, z_v))
+    bwd = apply_dx_transpose(traj.op, RelaxState(w_u, w_v), base=base)
     lhs = float(w_u @ fwd.u + w_v @ fwd.v)
     rhs = float(z_u @ bwd.u + z_v @ bwd.v)
     scale = max(1e-30,
@@ -282,18 +257,10 @@ def _check_battery(cfg: RunConfig, tab: ImexTableau) -> List[tuple]:
     checks.append(("transpose-dot-test", dot_rel <= 1e-12,
                    f"relative defect = {dot_rel:.2e}"))
 
-    relax_fixed = dataclasses.replace(relax, a=a)
-    problem = ControlProblem(grid=grid, model=model, relax=relax_fixed,
-                             t_final=0.5, u_d=np.full(grid.n_cells, 0.5),
-                             tableau=tab, c_cfl=cfg.c_cfl, scheme=cfg.scheme,
-                             limiter=cfg.limiter)
-    traj = solve_forward(problem, tab, u0, store_stages=True)
-    grads = {}
-    for form in ("ark", "xi", "zeta"):
-        rec = solve_adjoint(traj, problem.u_d, form=form)
-        grads[form] = assemble_gradient(rec, u0, model)
-    form_diff = max(float(np.max(np.abs(grads["ark"] - grads["xi"]))),
-                    float(np.max(np.abs(grads["xi"] - grads["zeta"]))))
+    grads = [assemble_gradient(solve_adjoint(traj, problem.u_d, form=form), u0, model)
+             for form in FORMS]
+    form_diff = max(float(np.max(np.abs(g - g_next)))
+                    for g, g_next in zip(grads, grads[1:]))
     checks.append(("adjoint-form-equivalence", form_diff <= 1e-11,
                    f"max gradient difference = {form_diff:.2e}"))
 
@@ -331,12 +298,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_order_study(cfg: RunConfig) -> int:
     """Temporal self-convergence study; writes order_study.csv."""
     tab = _tableau(cfg)
-    grid = make_grid(cfg.x_min, cfg.x_max, 64)
-    template = ControlProblem(grid=grid, model=burgers_model(),
-                              relax=_relax_config(cfg), t_final=cfg.t_final,
-                              u_d=np.zeros(grid.n_cells), tableau=tab,
-                              c_cfl=cfg.c_cfl, scheme=cfg.scheme,
-                              limiter=cfg.limiter)
+    template = _base_problem(cfg, tab, cfg.n_cells)
     result = temporal_order_study(template, tab, levels=cfg.levels,
                                   n_cells_forward=cfg.n_cells,
                                   n_cells_gradient=cfg.n_cells_gradient)
@@ -355,14 +317,9 @@ def cmd_tracking_table(cfg: RunConfig) -> int:
     """Tracking experiment across grid sizes; writes tracking.csv."""
     tab = _tableau(cfg)
     sizes = _grid_sizes(cfg)
-    grid = make_grid(cfg.x_min, cfg.x_max, sizes[0])
-    template = ControlProblem(grid=grid, model=burgers_model(),
-                              relax=_relax_config(cfg), t_final=cfg.t_final,
-                              u_d=np.zeros(grid.n_cells), tableau=tab,
-                              c_cfl=cfg.c_cfl, scheme=cfg.scheme,
-                              limiter=cfg.limiter)
-    rows = tracking_table(template, sizes, alpha=cfg.alpha, tol=cfg.tol,
-                          max_iter=cfg.max_iter, adjoint_form=cfg.adjoint_form)
+    rows = tracking_table(_base_problem(cfg, tab, sizes[0]), sizes, alpha=cfg.alpha,
+                          tol=cfg.tol, max_iter=cfg.max_iter,
+                          adjoint_form=cfg.adjoint_form)
     path = _out_path(cfg, "tracking.csv")
     export_tracking_table(rows, path, header=_config_header(cfg))
     for r in rows:

@@ -6,13 +6,13 @@ source is linear in v, so every implicit stage solves in closed form; no
 Newton iteration is involved and the stepper stays exact for epsilon far
 below the step size.
 
-Two algebraically equivalent formulations are provided: the stage-value form
-(imex_step, which also returns the stage states the adjoint sweep needs) and
-the slope/K form (imex_step_kform, used for cross-checking).
+imex_step is the one step: the stage-value form, which also returns the stage
+states the adjoint sweep transposes.  The algebraically equivalent slope form
+is a test oracle (tests/oracles.py), not library code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -44,15 +44,14 @@ class Trajectory:
     times[n] is the time of steps[n]; stages[n] holds the s stage states used
     to advance from steps[n] to steps[n+1] (empty when stage storage was
     disabled).  dts[n] = times[n+1] - times[n] is kept explicitly so the
-    backward sweep reuses the exact forward step sizes.
+    backward sweep reuses the exact forward step sizes.  The pair is tab and
+    the relaxation speed is op.a.
     """
 
     times: np.ndarray
     steps: List[RelaxState]
     stages: List[List[RelaxState]]
     h: float
-    tableau: str
-    a: float
     epsilon: float
     dts: np.ndarray
     tab: ImexTableau
@@ -127,49 +126,6 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     return RelaxState(u1, v1), stages
 
 
-def imex_step_kform(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    y_n: RelaxState, h: float, step_index: int = 0) -> RelaxState:
-    """One IMEX step in slope form: accumulates transport and source slopes.
-
-    The implicit slope of stage i solves K = (f(U) - V_pre) / (eps + h*a_ii)
-    where V_pre collects all previously known contributions; algebraically
-    identical to imex_step.
-    """
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    s = tab.s
-    at, ai = tab.a_tilde, tab.a_impl
-    kt_u, kt_v, k_v = [], [], []   # explicit (transport) slopes and implicit source slopes
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(s):
-            yu = y_n.u.copy()
-            yv = y_n.v.copy()
-            for j in range(i):
-                if at[i, j] != 0.0:
-                    yu += (h * at[i, j]) * kt_u[j]
-                    yv += (h * at[i, j]) * kt_v[j]
-                if ai[i, j] != 0.0:
-                    yv += (h * ai[i, j]) * k_v[j]
-            fu = np.asarray(model.flux(yu), float)
-            ki = (fu - yv) / (eps + h * ai[i, i])
-            yv = yv + (h * ai[i, i]) * ki
-            _require_finite(yu, step_index, i)
-            _require_finite(yv, step_index, i)
-            g = apply_dx(op, RelaxState(yu, yv))
-            kt_u.append(-g.u)
-            kt_v.append(-g.v)
-            k_v.append(ki)
-        u1 = y_n.u.copy()
-        v1 = y_n.v.copy()
-        for i in range(s):
-            if tab.w_tilde[i] != 0.0:
-                u1 += (h * tab.w_tilde[i]) * kt_u[i]
-                v1 += (h * tab.w_tilde[i]) * kt_v[i]
-            if tab.w[i] != 0.0:
-                v1 += (h * tab.w[i]) * k_v[i]
-    return RelaxState(u1, v1)
-
-
 def _plan_steps(t_final: float, h: float) -> np.ndarray:
     """Step sizes covering [0, T]: nominal h with the last step shortened to land on T."""
     if t_final == 0.0:
@@ -239,8 +195,7 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
         if store_stages:
             stages.append(stage_states)
     return Trajectory(times=times, steps=steps, stages=stages, h=h,
-                      tableau=tab.name, a=a, epsilon=relax.epsilon,
-                      dts=dts, tab=tab, op=op, model=model)
+                      epsilon=relax.epsilon, dts=dts, tab=tab, op=op, model=model)
 
 
 def export_trajectory(traj: Trajectory, path: str, stride: int = 1,

@@ -8,7 +8,6 @@ externally.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,8 @@ from .optimize import (ControlProblem, steepest_descent, fd_gradient,
 
 __all__ = [
     "OrderStudyResult", "TrackingTableRow", "GradientReport",
-    "fit_order", "temporal_order_study", "tracking_table", "gradient_report",
+    "fit_order", "temporal_order_study", "tracking_problem", "tracking_table",
+    "gradient_report",
     "export_order_study", "export_tracking_table", "export_gradient_report",
 ]
 
@@ -192,44 +192,51 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
         inconclusive=not (mono_f and mono_g))
 
 
+def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
+    """The tracking problem on n_cells cells: its target is generated by a forward solve.
+
+    The desired state u_d is the forward solution at t_final launched from
+    0.5 + sin(x).  The relaxation speed is computed from that generating
+    profile unless the template fixes one, and the returned problem keeps it,
+    so target generation and every later solve share one speed and minimize
+    a single well-defined discrete objective.
+    """
+    grid = make_grid(template.grid.x_min, template.grid.x_max, int(n_cells))
+    target_src = _default_u0(grid.centers)
+    relax = template.relax
+    if relax.a is None:
+        relax = dataclasses.replace(
+            relax, a=subchar_speed(template.model, target_src, relax))
+    probe = dataclasses.replace(template, grid=grid, relax=relax,
+                                u_d=np.zeros(grid.n_cells))
+    traj = solve_forward(probe, probe.resolve_tableau(), target_src,
+                         store_stages=False)
+    return dataclasses.replace(probe, u_d=traj.steps[-1].u)
+
+
 def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
                    alpha: float = 0.097, tol: float = 1e-2, max_iter: int = 500,
                    adjoint_form: str = "ark") -> List[TrackingTableRow]:
     """Run the tracking experiment once per grid size and tabulate the results.
 
-    Per grid: the desired state is the forward solution launched from
-    0.5 + sin(x), the optimizer starts from the constant 0.5, and the row
-    records iterations, wall time and final cost.  Target generation and all
-    optimizer solves share one relaxation speed, computed from the generating
-    profile (unless the template fixes one), so every row minimizes a single
-    well-defined discrete objective.  The default step size is calibrated so
-    the shipped configuration reproduces the reference iteration counts
-    {44, 43, 42, 41} on N = {100, 150, 200, 300}.  Non-convergence is
-    recorded in the row (converged=False), never raised.  Rows come back in
-    the order of grid_sizes regardless of how long each takes.
+    Per grid: the problem comes from tracking_problem, the optimizer starts
+    from the constant 0.5, and the row records iterations, the descent's wall
+    time and final cost.  The default step size is calibrated so the shipped
+    configuration reproduces the reference iteration counts {44, 43, 42, 41}
+    on N = {100, 150, 200, 300}.  Non-convergence is recorded in the row
+    (converged=False), never raised.  Rows come back in the order of
+    grid_sizes regardless of how long each takes.
     """
     if len(grid_sizes) == 0:
         raise ValueError("grid_sizes must be nonempty")
     rows: List[TrackingTableRow] = []
     for n in grid_sizes:
-        grid = make_grid(template.grid.x_min, template.grid.x_max, int(n))
-        target_src = _default_u0(grid.centers)
-        relax = template.relax
-        if relax.a is None:
-            relax = dataclasses.replace(
-                relax, a=subchar_speed(template.model, target_src, relax))
-        probe = dataclasses.replace(template, grid=grid, relax=relax,
-                                    u_d=np.zeros(grid.n_cells))
-        traj = solve_forward(probe, probe.resolve_tableau(), target_src,
-                             store_stages=False)
-        problem = dataclasses.replace(probe, u_d=traj.steps[-1].u)
-        u0_start = np.full(grid.n_cells, 0.5)
-        t0 = time.perf_counter()
+        problem = tracking_problem(template, n)
+        u0_start = np.full(problem.grid.n_cells, 0.5)
         _, rep = steepest_descent(problem, u0_start, alpha=alpha, tol=tol,
                                   max_iter=max_iter, adjoint_form=adjoint_form)
-        wall = time.perf_counter() - t0
         rows.append(TrackingTableRow(n_cells=int(n), iterations=rep.iterations,
-                                     wall_time_s=wall,
+                                     wall_time_s=rep.wall_time,
                                      final_cost=rep.final_cost,
                                      converged=rep.converged))
     return rows

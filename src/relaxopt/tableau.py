@@ -98,9 +98,8 @@ class AdjointCoeffs:
     beta_tilde[i,j]  = w_tilde[j] - (w_tilde[j]/w[i])       * a_impl[j,i]
     beta[i,j]        = w[j]       - (w[j]/w[i])             * a_impl[j,i]
 
-    gamma/gamma_tilde/delta/delta_tilde are the row sums of alpha/alpha_tilde/
-    beta/beta_tilde; the delta sums are carried for reporting only and do not
-    enter any order decision.
+    gamma/gamma_tilde are the row sums of alpha/alpha_tilde; they enter the
+    third-order branch conditions.
     """
 
     alpha_tilde: np.ndarray
@@ -109,8 +108,6 @@ class AdjointCoeffs:
     beta: np.ndarray
     gamma: np.ndarray
     gamma_tilde: np.ndarray
-    delta: np.ndarray
-    delta_tilde: np.ndarray
 
 
 def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:
@@ -128,8 +125,7 @@ def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:
     beta = w[None, :] - (w[None, :] / w[:, None]) * ai_t
     return AdjointCoeffs(alpha_tilde=alpha_tilde, alpha=alpha,
                          beta_tilde=beta_tilde, beta=beta,
-                         gamma=alpha.sum(axis=1), gamma_tilde=alpha_tilde.sum(axis=1),
-                         delta=beta.sum(axis=1), delta_tilde=beta_tilde.sum(axis=1))
+                         gamma=alpha.sum(axis=1), gamma_tilde=alpha_tilde.sum(axis=1))
 
 
 @dataclass(frozen=True)

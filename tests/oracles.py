@@ -4,12 +4,17 @@ The `np.roll` stencils below are the spatial operator as first written: every
 periodic neighbour comes from `np.roll`.  Production code builds the same
 neighbours from slices; each element sees the same floating-point operations
 in the same order, so the two must agree bit for bit (see test_spatial.py).
+
+`imex_step_kform` is the IMEX step in slope form.  It is algebraically equal
+to the library's stage-value `imex_step` but accumulates slopes instead of
+increments, so the two agree to round-off, not bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from relaxopt.core import RelaxState
+from relaxopt.spatial import apply_dx
 
 
 def _minmod(x, y):
@@ -100,3 +105,40 @@ def roll_apply_dx_transpose(op, costate, base=None):
         pre = np.roll(fm_bar, 1)
         wm_bar = pre - 0.5 * _slope_transpose(pre, fm_masks)
     return RelaxState(a * (wp_bar - wm_bar), wp_bar + wm_bar)
+
+
+def imex_step_kform(tab, op, model, eps, y_n, h):
+    """One IMEX step in slope form: accumulates transport and source slopes.
+
+    The implicit slope of stage i solves K = (f(U) - V_pre) / (eps + h*a_ii)
+    where V_pre collects all previously known contributions.  Unlike
+    `imex_step` it returns no stage states and does not check for non-finite
+    values.
+    """
+    at, ai = tab.a_tilde, tab.a_impl
+    kt_u, kt_v, k_v = [], [], []   # explicit (transport) slopes and implicit source slopes
+    for i in range(tab.s):
+        yu = y_n.u.copy()
+        yv = y_n.v.copy()
+        for j in range(i):
+            if at[i, j] != 0.0:
+                yu += (h * at[i, j]) * kt_u[j]
+                yv += (h * at[i, j]) * kt_v[j]
+            if ai[i, j] != 0.0:
+                yv += (h * ai[i, j]) * k_v[j]
+        fu = np.asarray(model.flux(yu), float)
+        ki = (fu - yv) / (eps + h * ai[i, i])
+        yv = yv + (h * ai[i, i]) * ki
+        g = apply_dx(op, RelaxState(yu, yv))
+        kt_u.append(-g.u)
+        kt_v.append(-g.v)
+        k_v.append(ki)
+    u1 = y_n.u.copy()
+    v1 = y_n.v.copy()
+    for i in range(tab.s):
+        if tab.w_tilde[i] != 0.0:
+            u1 += (h * tab.w_tilde[i]) * kt_u[i]
+            v1 += (h * tab.w_tilde[i]) * kt_v[i]
+        if tab.w[i] != 0.0:
+            v1 += (h * tab.w[i]) * k_v[i]
+    return RelaxState(u1, v1)

@@ -11,10 +11,12 @@ from relaxopt.core import (RelaxConfig, RelaxState, burgers_model, make_grid,
                            relax_init, subchar_speed)
 from relaxopt.tableau import builtin_tableau, check_order, make_imex_tableau
 from relaxopt.spatial import SpatialOp, apply_dx_linearized, apply_dx_transpose
-from relaxopt.forward import imex_step, imex_step_kform, solve_forward
+from relaxopt.forward import imex_step, solve_forward
 from relaxopt.adjoint import solve_adjoint, assemble_gradient
 from relaxopt.optimize import ControlProblem
 from relaxopt.studies import gradient_report, temporal_order_study, tracking_table
+
+from oracles import imex_step_kform
 
 BUILTINS = ("imex-euler", "ars-222", "ars-443", "bpr-343")
 

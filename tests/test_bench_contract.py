@@ -1,0 +1,47 @@
+"""What perfbench/ relies on in the library, checked from the library's side.
+
+The benchmark reads adjoint.FORMS into its gradcheck gate line and swaps
+studies._default_u0 to seed the tracking workload's generating profile, so
+a refactor that binds either one early breaks the benchmark, not the
+library's own tests.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import relaxopt.studies as studies
+from relaxopt.core import RelaxConfig, burgers_model, make_grid
+from relaxopt.optimize import ControlProblem
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_gradcheck_workload_passes_over_every_adjoint_form():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "gradcheck",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=str(ROOT), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] == 8
+    assert "over ark,xi,zeta" in proc.stdout
+
+
+def test_tracking_table_looks_up_the_generating_profile_per_grid(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return 0.5 + np.sin(x)
+
+    monkeypatch.setattr(studies, "_default_u0", counted)
+    g = make_grid(0.0, 2.0 * np.pi, 16)
+    template = ControlProblem(grid=g, model=burgers_model(),
+                              relax=RelaxConfig(epsilon=1e-6), t_final=0.2,
+                              u_d=np.zeros(16), tableau="imex-euler")
+    studies.tracking_table(template, [24], max_iter=0)
+    assert calls == [24]

@@ -52,13 +52,20 @@ def test_optimize_with_iteration_cap_zero(tmp_path, capsys):
     assert len(control) == 2 + 24
 
 
+def test_optimize_default_step_converges(tmp_path, capsys):
+    rc = main(["optimize", "--n-cells", "100", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "converged=True iterations=44 " in out
+
+
 def test_check_reports_orders_and_passes(capsys):
     rc = main(["check", "--tableau", "imex-euler"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "forward order 1" in out
     check_lines = [ln for ln in out.splitlines() if ln.startswith("check ")]
-    assert len(check_lines) == 5
+    assert len(check_lines) == 4
     assert all(": ok" in ln for ln in check_lines)
 
     rc = main(["check", "--tableau", "ars-222"])

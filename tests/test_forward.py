@@ -3,10 +3,12 @@ import pytest
 
 from relaxopt.core import (FluxModel, RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init, subchar_speed)
-from relaxopt.forward import (DivergenceError, imex_step, imex_step_kform,
-                              solve_forward, export_trajectory, _plan_steps)
+from relaxopt.forward import (DivergenceError, imex_step, solve_forward,
+                              export_trajectory, _plan_steps)
 from relaxopt.spatial import SpatialOp
 from relaxopt.tableau import builtin_names, builtin_tableau
+
+from oracles import imex_step_kform
 
 
 def upwind_increment(a, dx, u, v):
@@ -232,7 +234,7 @@ def test_relax_config_speed_override():
     cfg = RelaxConfig(epsilon=1e-6, a=3.0)
     prob = Problem(g, model, cfg, t_final=0.1)
     traj = solve_forward(prob, builtin_tableau("imex-euler"), u0)
-    assert traj.a == 3.0
+    assert traj.op.a == 3.0
     assert traj.h == 0.5 * g.dx / 3.0
 
 
