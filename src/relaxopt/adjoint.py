@@ -12,7 +12,8 @@ assembled gradient is the exact gradient of the discrete objective:
 Each backward stage inverts the same scalar-linear implicit relation as the
 forward solver, in closed form.  The transport transpose reuses the stored
 forward stage states, which also freeze the limiter choices of the
-second-order scheme.
+second-order scheme.  A step keeps only the costate it returns; its
+per-stage variables are dropped when the step ends.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import FluxModel, RelaxState
-from .forward import Trajectory
+from .forward import Trajectory, _lincomb
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
 
@@ -52,10 +53,11 @@ class CostateState:
 class AdjointSweepRecord:
     """Backward sweep output mirroring the forward Trajectory's indexing.
 
-    costates[n] corresponds to times[n]; stage_costates_tilde[n][i] and
-    stage_costates[n][i] are the per-stage variables of whichever form ran
-    (stage costate pairs for ark, scaled stage variables for xi, explicit
-    accumulator / stage increment for zeta).
+    costates[n] corresponds to times[n], for all n_steps + 1 times;
+    assemble_gradient reads costates[0].  stage_costates_tilde and
+    stage_costates are always empty lists: the sweep stores no per-stage
+    variables.  They stay fields so that code taking their len() (the
+    benchmark's record byte count) keeps working.
     """
 
     costates: List[CostateState]
@@ -79,9 +81,9 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> CostateStat
 
 
 def _transport_transpose(op: SpatialOp, p, q, base: RelaxState):
-    """Costate contribution of the transport term: minus the spatial transpose."""
+    """Spatial transpose D^T (p, q); the transport term contributes its negative."""
     out = apply_dx_transpose(op, RelaxState(p, q), base)
-    return -out.u, -out.v
+    return out.u, out.v
 
 
 def _source_transpose(fprime, eps, p, q):
@@ -89,71 +91,63 @@ def _source_transpose(fprime, eps, p, q):
     return fprime * q / eps, -q / eps
 
 
+def _costate_lincomb(x: CostateState, terms):
+    """_lincomb on both components: x + sum of c * (t_p, t_q) over terms (c, (t_p, t_q))."""
+    return (_lincomb(x.p, [(c, t[0]) for c, t in terms]),
+            _lincomb(x.q, [(c, t[1]) for c, t in terms]))
+
+
 def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
                      model: FluxModel, eps: float, stages: List[RelaxState],
-                     p_next: CostateState, h: float):
-    """One backward step in stage-costate form.
+                     p_next: CostateState, h: float) -> CostateState:
+    """One backward step in stage-costate form; returns p_n.
 
-    Returns (p_n, tilde stage costates, stage costates).  Stages are processed
-    in reverse; the implicit coupling in the q-component is eliminated in
-    closed form, mirroring the forward stage solve.
+    Stages are processed in reverse; the implicit coupling in the q-component
+    is eliminated in closed form, mirroring the forward stage solve.
     """
     s = tab.s
     wt, w = tab.w_tilde, tab.w
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
-    trans_p = [None] * s
-    trans_q = [None] * s
-    src_p = [None] * s
-    src_q = [None] * s
-    tilde: List[Optional[CostateState]] = [None] * s
-    main: List[Optional[CostateState]] = [None] * s
+    trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
+    src = [None] * s     # source contributions of the stage costates
     for i in reversed(range(s)):
-        acc_p = p_next.p.copy()
-        acc_q = p_next.q.copy()
+        terms = []
         for j in range(i + 1, s):
             cf_t = wt[j] - coeffs.alpha_tilde[i, j]   # = (wt_j / wt_i) * a_tilde[j, i]
             cf_s = w[j] - coeffs.alpha[i, j]          # = (w_j  / wt_i) * a_tilde[j, i]
             if cf_t != 0.0:
-                acc_p += (h * cf_t) * trans_p[j]
-                acc_q += (h * cf_t) * trans_q[j]
+                terms.append((-h * cf_t, trans[j]))
             if cf_s != 0.0:
-                acc_p += (h * cf_s) * src_p[j]
-                acc_q += (h * cf_s) * src_q[j]
-        tilde[i] = CostateState(acc_p, acc_q)
-        trans_p[i], trans_q[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
+                terms.append((h * cf_s, src[j]))
+        acc_p, acc_q = _costate_lincomb(p_next, terms)
+        trans[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
 
-        b_p = p_next.p.copy()
-        b_q = p_next.q.copy()
+        terms = []
         for j in range(i, s):
             cf_t = wt[j] - coeffs.beta_tilde[i, j]    # = (wt_j / w_i) * a_impl[j, i]
             if cf_t != 0.0:
-                b_p += (h * cf_t) * trans_p[j]
-                b_q += (h * cf_t) * trans_q[j]
+                terms.append((-h * cf_t, trans[j]))
         for j in range(i + 1, s):
             cf_s = w[j] - coeffs.beta[i, j]           # = (w_j / w_i) * a_impl[j, i]
             if cf_s != 0.0:
-                b_p += (h * cf_s) * src_p[j]
-                b_q += (h * cf_s) * src_q[j]
+                terms.append((h * cf_s, src[j]))
+        b_p, b_q = _costate_lincomb(p_next, terms)
         k = h * tab.a_impl[i, i] / eps
         pq = b_q / (1.0 + k)
         pp = b_p + k * fprime[i] * pq
-        main[i] = CostateState(pp, pq)
-        src_p[i], src_q[i] = _source_transpose(fprime[i], eps, pp, pq)
+        src[i] = _source_transpose(fprime[i], eps, pp, pq)
 
-    out_p = p_next.p.copy()
-    out_q = p_next.q.copy()
+    terms = []
     for i in range(s):
         if wt[i] != 0.0:
-            out_p += (h * wt[i]) * trans_p[i]
-            out_q += (h * wt[i]) * trans_q[i]
+            terms.append((-h * wt[i], trans[i]))
         if w[i] != 0.0:
-            out_p += (h * w[i]) * src_p[i]
-            out_q += (h * w[i]) * src_q[i]
-    return CostateState(out_p, out_q), tilde, main
+            terms.append((h * w[i], src[i]))
+    return CostateState(*_costate_lincomb(p_next, terms))
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    stages: List[RelaxState], p_next: CostateState, h: float):
+                    stages: List[RelaxState], p_next: CostateState, h: float) -> CostateState:
     """One backward step in scaled-variable form; defined for any weights.
 
     When all weights are nonzero its tilde stage variables equal h * w_tilde_i
@@ -164,8 +158,6 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
     theta_p = [None] * s   # combined transported+source stage contributions
     theta_q = [None] * s
-    tilde: List[Optional[CostateState]] = [None] * s
-    main: List[Optional[CostateState]] = [None] * s
     sum_p = np.zeros_like(p_next.p)
     sum_q = np.zeros_like(p_next.q)
     for i in reversed(range(s)):
@@ -175,11 +167,10 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
             if at[j, i] != 0.0:
                 xt_p += (h * at[j, i]) * theta_p[j]
                 xt_q += (h * at[j, i]) * theta_q[j]
-        tilde[i] = CostateState(xt_p, xt_q)
         t_p, t_q = _transport_transpose(op, xt_p, xt_q, stages[i])
 
-        b_p = (h * tab.w[i]) * p_next.p + (h * ai[i, i]) * t_p
-        b_q = (h * tab.w[i]) * p_next.q + (h * ai[i, i]) * t_q
+        b_p = (h * tab.w[i]) * p_next.p - (h * ai[i, i]) * t_p
+        b_q = (h * tab.w[i]) * p_next.q - (h * ai[i, i]) * t_q
         for j in range(i + 1, s):
             if ai[j, i] != 0.0:
                 b_p += (h * ai[j, i]) * theta_p[j]
@@ -187,25 +178,22 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
         k = h * ai[i, i] / eps
         xi_q = b_q / (1.0 + k)
         xi_p = b_p + k * fprime[i] * xi_q
-        main[i] = CostateState(xi_p, xi_q)
         s_p, s_q = _source_transpose(fprime[i], eps, xi_p, xi_q)
-        theta_p[i] = t_p + s_p
-        theta_q[i] = t_q + s_q
+        theta_p[i] = s_p - t_p
+        theta_q[i] = s_q - t_q
         sum_p += theta_p[i]
         sum_q += theta_q[i]
-    return CostateState(p_next.p + sum_p, p_next.q + sum_q), tilde, main
+    return CostateState(p_next.p + sum_p, p_next.q + sum_q)
 
 
 def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                      stages: List[RelaxState], p_next: CostateState, h: float):
+                      stages: List[RelaxState], p_next: CostateState, h: float) -> CostateState:
     """One backward step in increment form; defined for any weights."""
     s = tab.s
     at, ai = tab.a_tilde, tab.a_impl
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
     z_p = [None] * s
     z_q = [None] * s
-    tilde: List[Optional[CostateState]] = [None] * s
-    main: List[Optional[CostateState]] = [None] * s
     for i in reversed(range(s)):
         gt_p = tab.w_tilde[i] * p_next.p
         gt_q = tab.w_tilde[i] * p_next.q
@@ -218,19 +206,16 @@ def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: fl
             if ai[j, i] != 0.0:
                 gi_p += ai[j, i] * z_p[j]
                 gi_q += ai[j, i] * z_q[j]
-        tilde[i] = CostateState(gt_p, gt_q)
         t_p, t_q = _transport_transpose(op, gt_p, gt_q, stages[i])
         s_p, s_q = _source_transpose(fprime[i], eps, gi_p, gi_q)
-        k_p = h * (t_p + s_p)
-        k_q = h * (t_q + s_q)
+        k_p = h * (s_p - t_p)
+        k_q = h * (s_q - t_q)
         k = h * ai[i, i] / eps
-        zq = k_q / (1.0 + k)
-        zp = k_p + k * fprime[i] * zq
-        z_p[i], z_q[i] = zp, zq
-        main[i] = CostateState(zp, zq)
+        z_q[i] = k_q / (1.0 + k)
+        z_p[i] = k_p + k * fprime[i] * z_q[i]
     out_p = p_next.p + sum(z_p)
     out_q = p_next.q + sum(z_q)
-    return CostateState(out_p, out_q), tilde, main
+    return CostateState(out_p, out_q)
 
 
 _STEPPERS = {"xi": adjoint_step_xi, "zeta": adjoint_step_zeta}
@@ -260,22 +245,17 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
     costates: List[Optional[CostateState]] = [None] * (n_steps + 1)
     costates[n_steps] = p
-    tilde_all: List[Optional[List[CostateState]]] = [None] * n_steps
-    main_all: List[Optional[List[CostateState]]] = [None] * n_steps
     for n in reversed(range(n_steps)):
         h = float(traj.dts[n])
         if form_used == "ark":
-            p, tilde, main = adjoint_step_ark(coeffs, traj.tab, traj.op, traj.model,
-                                              traj.epsilon, traj.stages[n], p, h)
+            p = adjoint_step_ark(coeffs, traj.tab, traj.op, traj.model,
+                                 traj.epsilon, traj.stages[n], p, h)
         else:
-            stepper = _STEPPERS[form_used]
-            p, tilde, main = stepper(traj.tab, traj.op, traj.model,
+            p = _STEPPERS[form_used](traj.tab, traj.op, traj.model,
                                      traj.epsilon, traj.stages[n], p, h)
         costates[n] = p
-        tilde_all[n] = tilde
-        main_all[n] = main
-    return AdjointSweepRecord(costates=costates, stage_costates_tilde=tilde_all,
-                              stage_costates=main_all, form_used=form_used)
+    return AdjointSweepRecord(costates=costates, stage_costates_tilde=[],
+                              stage_costates=[], form_used=form_used)
 
 
 def assemble_gradient(record: AdjointSweepRecord, u0: np.ndarray,

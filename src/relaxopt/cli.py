@@ -191,7 +191,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     tab = _tableau(cfg)
     problem = _base_problem(cfg, tab, cfg.n_cells)
     traj = solve_forward(problem, tab, _default_u0(problem.grid.centers),
-                         store_stages=False)
+                         store_stages=True)
     path = _out_path(cfg, "trajectory.csv")
     export_trajectory(traj, path, stride=cfg.frame_stride, header=_config_header(cfg))
     print(f"solved {tab.name} on N={cfg.n_cells} to T={cfg.t_final} "
@@ -325,7 +325,7 @@ def cmd_tracking_table(cfg: RunConfig) -> int:
     for r in rows:
         print(f"N={r.n_cells:5d} iterations={r.iterations:4d} "
               f"final_cost={r.final_cost:.6e} converged={r.converged} "
-              f"cpu_s={r.wall_time_s:.3f}")
+              f"wall_s={r.wall_time_s:.3f}")
     print(f"wrote {path}")
     return 0
 

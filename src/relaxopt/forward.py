@@ -41,11 +41,14 @@ class DivergenceError(RuntimeError):
 class Trajectory:
     """Forward solve record: step states, per-step stage states, and solve metadata.
 
-    times[n] is the time of steps[n]; stages[n] holds the s stage states used
-    to advance from steps[n] to steps[n+1] (empty when stage storage was
-    disabled).  dts[n] = times[n+1] - times[n] is kept explicitly so the
-    backward sweep reuses the exact forward step sizes.  The pair is tab and
-    the relaxation speed is op.a.
+    A full record (store_stages=True) has steps[n] at times[n] for every n,
+    and stages[n] holds the s stage states used to advance from steps[n] to
+    steps[n+1]; the adjoint sweep and export_trajectory need it.  A
+    final-only record (store_stages=False) has steps == [y_T] and
+    stages == [].  Either way steps[-1] is the state at times[-1] = t_final
+    and n_steps counts the steps taken.  dts[n] = times[n+1] - times[n] is
+    kept explicitly so the backward sweep reuses the exact forward step
+    sizes.  The pair is tab and the relaxation speed is op.a.
     """
 
     times: np.ndarray
@@ -72,6 +75,40 @@ def _require_finite(arr, step_index, stage_index):
         raise DivergenceError(step_index, stage_index)
 
 
+def _lincomb(x, terms):
+    """x + c_1 t_1 + c_2 t_2 + ..., added left to right; x itself when terms is empty.
+
+    The first term allocates the result and later terms add into it, so x is
+    never written and needs no copy.  Each product is rounded before it is
+    added, as in x.copy() followed by +=; a subtraction is written with a
+    negated coefficient, which IEEE arithmetic rounds identically.
+    """
+    out = x
+    for c, t in terms:
+        if out is x:
+            out = x + c * t
+        else:
+            out += c * t
+    return out
+
+
+def _combine(y: RelaxState, h, ct, ci, trans_u, trans_v, source):
+    """(u, v) = y - h * sum_j ct[j] (trans_u[j], trans_v[j]) + h * sum_j ci[j] (0, source[j]).
+
+    Zero coefficients are skipped; for v the transport term of j is added
+    before its source term.  A component with no term is y's own array.
+    """
+    tu, tv = [], []
+    for j in range(len(ct)):
+        if ct[j] != 0.0:
+            c = -h * ct[j]
+            tu.append((c, trans_u[j]))
+            tv.append((c, trans_v[j]))
+        if ci[j] != 0.0:
+            tv.append((h * ci[j], source[j]))
+    return _lincomb(y.u, tu), _lincomb(y.v, tv)
+
+
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
               y_n: RelaxState, h: float, step_index: int = 0):
     """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
@@ -94,14 +131,7 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     # overflow is reported through DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(s):
-            ru = y_n.u.copy()
-            rv = y_n.v.copy()
-            for j in range(i):
-                if at[i, j] != 0.0:
-                    ru -= (h * at[i, j]) * trans_u[j]
-                    rv -= (h * at[i, j]) * trans_v[j]
-                if ai[i, j] != 0.0:
-                    rv += (h * ai[i, j]) * source[j]
+            ru, rv = _combine(y_n, h, at[i, :i], ai[i, :i], trans_u, trans_v, source)
             fu = np.asarray(model.flux(ru), float)
             src = (fu - rv) / (eps + h * ai[i, i])
             vi = rv + (h * ai[i, i]) * src
@@ -113,14 +143,7 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
             trans_u.append(g.u)
             trans_v.append(g.v)
             source.append(src)
-        u1 = y_n.u.copy()
-        v1 = y_n.v.copy()
-        for i in range(s):
-            if tab.w_tilde[i] != 0.0:
-                u1 -= (h * tab.w_tilde[i]) * trans_u[i]
-                v1 -= (h * tab.w_tilde[i]) * trans_v[i]
-            if tab.w[i] != 0.0:
-                v1 += (h * tab.w[i]) * source[i]
+        u1, v1 = _combine(y_n, h, tab.w_tilde, tab.w, trans_u, trans_v, source)
         _require_finite(u1, step_index, s - 1)
         _require_finite(v1, step_index, s - 1)
     return RelaxState(u1, v1), stages
@@ -154,6 +177,11 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
     problem.relax.a when set, else it is recomputed from u0.  A non-finite
     stage raises DivergenceError with its step, stage and the time at the
     start of that step.
+
+    With store_stages=True the trajectory keeps every step state and every
+    stage, which solve_adjoint and export_trajectory need.  With
+    store_stages=False it keeps only the final state (steps == [y_T]), so
+    its memory does not grow with the number of steps.
     """
     grid: Grid = problem.grid
     model: FluxModel = problem.model
@@ -191,9 +219,11 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
         except DivergenceError as err:
             # imex_step knows the step index, not the time; add the step's start time
             raise DivergenceError(err.step, err.stage, float(times[n])) from None
-        steps.append(y)
         if store_stages:
+            steps.append(y)
             stages.append(stage_states)
+        else:
+            steps[0] = y
     return Trajectory(times=times, steps=steps, stages=stages, h=h,
                       epsilon=relax.epsilon, dts=dts, tab=tab, op=op, model=model)
 
@@ -204,9 +234,13 @@ def export_trajectory(traj: Trajectory, path: str, stride: int = 1,
 
     Every stride-th frame is written and the final frame always included.
     `header` is an optional provenance comment emitted as a leading '# ' line.
+    The trajectory must be a full record (solved with store_stages=True).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if len(traj.steps) != len(traj.times):
+        raise ValueError("trajectory keeps only its final state; "
+                         "rerun solve_forward with store_stages=True to export frames")
     n = traj.grid.n_cells
     xs = traj.grid.centers
     frames = list(range(0, len(traj.times), stride))

@@ -293,11 +293,11 @@ def export_order_study(results: Sequence[OrderStudyResult], path: str,
 
 def export_tracking_table(rows: Sequence[TrackingTableRow], path: str,
                           header: Optional[str] = None) -> None:
-    """CSV with columns N,iterations,cpu_s,final_cost."""
+    """CSV with columns N,iterations,wall_s,final_cost."""
     lines = []
     if header:
         lines.append(f"# {header}")
-    lines.append("N,iterations,cpu_s,final_cost")
+    lines.append("N,iterations,wall_s,final_cost")
     for r in rows:
         lines.append(f"{r.n_cells},{r.iterations},{_fmt(r.wall_time_s)},{_fmt(r.final_cost)}")
     with open(path, "w") as fh:

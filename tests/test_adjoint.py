@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relaxopt.core import (RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init)
-from relaxopt.adjoint import (CostateState, adjoint_step_ark, assemble_gradient,
-                              export_gradient, solve_adjoint, terminal_costate)
+from relaxopt.adjoint import (CostateState, adjoint_step_ark, adjoint_step_xi,
+                              adjoint_step_zeta, assemble_gradient, export_gradient,
+                              solve_adjoint, terminal_costate)
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
                                _frozen_speed_problem)
@@ -85,8 +88,8 @@ def test_imex_euler_backward_matches_four_line_oracle():
     _, stages = imex_step(tab, op, model, eps, y, h)
 
     p_next = CostateState(rng.standard_normal(n), rng.standard_normal(n))
-    p_n, _, _ = adjoint_step_ark(adjoint_coeffs(tab), tab, op, model, eps,
-                                 stages, p_next, h)
+    p_n = adjoint_step_ark(adjoint_coeffs(tab), tab, op, model, eps,
+                           stages, p_next, h)
 
     T = transport_matrix(a, g.dx, n)
     z = np.concatenate([p_next.p, p_next.q])
@@ -171,6 +174,27 @@ def test_three_forms_agree():
     g_xi = assemble_gradient(solve_adjoint(traj_e, prob_e.u_d, form="xi"),
                              u0_e, prob_e.model)
     assert np.max(np.abs(g_ark - g_xi)) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["ark", "xi", "zeta"])
+def test_sweep_record_keeps_costates_only(form):
+    prob, u0 = _tracking_setup(n=24, tableau="ars-222")
+    tab = prob.resolve_tableau()
+    traj = solve_forward(dataclasses.replace(prob, scheme="muscl2"), tab, u0)
+    kept = [np.concatenate([st.u, st.v]) for st in traj.steps]
+    rec = solve_adjoint(traj, prob.u_d, form=form)
+    assert len(rec.costates) == traj.n_steps + 1
+    assert rec.stage_costates_tilde == [] and rec.stage_costates == []
+    # the sweep wrote into no forward state and no costate it had returned
+    for x, st in zip(kept, traj.steps):
+        assert np.array_equal(x, np.concatenate([st.u, st.v]))
+    step = {"ark": lambda *a: adjoint_step_ark(adjoint_coeffs(tab), *a),
+            "xi": adjoint_step_xi, "zeta": adjoint_step_zeta}[form]
+    for n in range(traj.n_steps):
+        p = step(tab, traj.op, prob.model, traj.epsilon, traj.stages[n],
+                 rec.costates[n + 1], float(traj.dts[n]))
+        assert np.array_equal(p.p, rec.costates[n].p)
+        assert np.array_equal(p.q, rec.costates[n].q)
 
 
 def test_zero_weight_tableau_falls_back_to_xi():

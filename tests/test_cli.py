@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from relaxopt.cli import RunConfig, load_config_file, main
 
@@ -120,7 +122,7 @@ def test_tracking_table_subcommand(tmp_path, capsys):
     assert "converged=True" in out
     lines = (tmp_path / "tracking.csv").read_text().splitlines()
     assert "alpha=0.097" in lines[0]
-    assert lines[1] == "N,iterations,cpu_s,final_cost"
+    assert lines[1] == "N,iterations,wall_s,final_cost"
     assert len(lines) == 3
     assert lines[2].startswith("100,")
 
@@ -186,10 +188,14 @@ def test_defaults_match_reference_setup():
 
 
 def test_module_entrypoint(tmp_path):
+    # the subprocess does not inherit pytest's pythonpath; point it at this checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "relaxopt.cli", "solve", "--n-cells", "16",
          "--t-final", "0.05", "--output-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
     assert (tmp_path / "trajectory.csv").exists()

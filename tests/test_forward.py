@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ def test_mass_is_conserved_over_full_horizon():
             prob = Problem(g, model, cfg, t_final=2.0, scheme=scheme)
             traj = solve_forward(prob, builtin_tableau(name), u0,
                                  store_stages=False)
-            m0 = np.sum(traj.steps[0].u) * g.dx
+            m0 = np.sum(u0) * g.dx
             mT = np.sum(traj.steps[-1].u) * g.dx
             assert abs(mT - m0) <= 1e-11 * abs(m0)
 
@@ -227,6 +229,43 @@ def test_stage_storage_matches_step_count():
     assert all(len(s) == tab.s for s in traj.stages)
     traj2 = solve_forward(prob, tab, u0, store_stages=False)
     assert traj2.stages == []
+    # without stages only the final state is kept, bit-identical to the full solve's
+    assert len(traj2.steps) == 1 and traj2.n_steps == traj.n_steps
+    assert np.array_equal(traj2.times, traj.times) and np.array_equal(traj2.dts, traj.dts)
+    assert np.array_equal(traj2.steps[-1].u, traj.steps[-1].u)
+    assert np.array_equal(traj2.steps[-1].v, traj.steps[-1].v)
+
+
+def test_final_only_solve_memory_does_not_grow_with_steps():
+    g, model, u0, cfg = _setup(n=256, a=1.8)
+    prob = Problem(g, model, cfg, t_final=10.0)
+    tab = builtin_tableau("ars-222")
+    tracemalloc.start()
+    try:
+        traj = solve_forward(prob, tab, u0, store_stages=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 1467
+    # a record of every step state would take 1468 * 2 * 256 * 8 B = 6.0 MB
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_full_record_replays_bitwise(name):
+    # a stage combination that wrote into an array it shares with a stored
+    # step or stage state would change the record after the fact
+    eps = 1.0 if name == "bpr-343" else 1e-6
+    g, model, u0, cfg = _setup(n=24, eps=eps)
+    prob = Problem(g, model, cfg, t_final=0.2, scheme="muscl2")
+    tab = builtin_tableau(name)
+    traj = solve_forward(prob, tab, u0, store_stages=True)
+    for n in range(traj.n_steps):
+        y1, stages = imex_step(tab, traj.op, model, eps, traj.steps[n], float(traj.dts[n]))
+        assert np.array_equal(y1.u, traj.steps[n + 1].u)
+        assert np.array_equal(y1.v, traj.steps[n + 1].v)
+        for got, kept in zip(stages, traj.stages[n]):
+            assert np.array_equal(got.u, kept.u) and np.array_equal(got.v, kept.v)
 
 
 def test_relax_config_speed_override():
@@ -323,7 +362,7 @@ def test_export_trajectory_schema_and_stride(tmp_path):
     g, model, u0, cfg = _setup(n=8)
     prob = Problem(g, model, cfg, t_final=0.1)
     traj = solve_forward(prob, builtin_tableau("imex-euler"), u0,
-                         store_stages=False)
+                         store_stages=True)
     path = tmp_path / "traj.csv"
     export_trajectory(traj, str(path), stride=3, header="run 1")
     lines = path.read_text().splitlines()
@@ -343,3 +382,12 @@ def test_export_trajectory_schema_and_stride(tmp_path):
     path2 = tmp_path / "traj2.csv"
     export_trajectory(traj, str(path2), stride=3, header="run 1")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_export_trajectory_needs_the_full_record(tmp_path):
+    g, model, u0, cfg = _setup(n=8)
+    prob = Problem(g, model, cfg, t_final=0.1)
+    traj = solve_forward(prob, builtin_tableau("imex-euler"), u0,
+                         store_stages=False)
+    with pytest.raises(ValueError, match="store_stages=True"):
+        export_trajectory(traj, str(tmp_path / "traj.csv"))

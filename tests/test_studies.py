@@ -162,7 +162,7 @@ def test_export_tracking_table_schema(tmp_path):
     path = tmp_path / "tracking.csv"
     export_tracking_table(rows, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "N,iterations,cpu_s,final_cost"
+    assert lines[0] == "N,iterations,wall_s,final_cost"
     assert lines[1].split(",")[:2] == ["100", "44"]
     assert float(lines[2].split(",")[3]) == 0.0098
 
