@@ -14,6 +14,11 @@ forward solver, in closed form.  The transport transpose reuses the stored
 forward stage states, which also freeze the limiter choices of the
 second-order scheme.  A step keeps only the costate it returns; its
 per-stage variables are dropped when the step ends.
+
+The ark step reads its coefficient differences from AdjointCoeffs.plan and
+its weights and implicit diagonal from ImexTableau.plan, both built once,
+so a step does no numpy-scalar arithmetic and builds no term lists.  It is
+bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import FluxModel, RelaxState
-from .forward import Trajectory, _lincomb
+from .forward import Trajectory, _accumulate
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
 
@@ -91,59 +96,58 @@ def _source_transpose(fprime, eps, p, q):
     return fprime * q / eps, -q / eps
 
 
-def _costate_lincomb(x: CostateState, terms):
-    """_lincomb on both components: x + sum of c * (t_p, t_q) over terms (c, (t_p, t_q))."""
-    return (_lincomb(x.p, [(c, t[0]) for c, t in terms]),
-            _lincomb(x.q, [(c, t[1]) for c, t in terms]))
-
-
 def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
                      model: FluxModel, eps: float, stages: List[RelaxState],
                      p_next: CostateState, h: float) -> CostateState:
     """One backward step in stage-costate form; returns p_n.
 
     Stages are processed in reverse; the implicit coupling in the q-component
-    is eliminated in closed form, mirroring the forward stage solve.
+    is eliminated in closed form, mirroring the forward stage solve.  The
+    coefficients come from coeffs.plan and tab.plan.  Each combination starts
+    from p_next and adds its terms left to right (forward._accumulate), so
+    p_next is never written.
     """
     s = tab.s
-    wt, w = tab.w_tilde, tab.w
+    p, q = p_next.p, p_next.q
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
     trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
     src = [None] * s     # source contributions of the stage costates
-    for i in reversed(range(s)):
-        terms = []
-        for j in range(i + 1, s):
-            cf_t = wt[j] - coeffs.alpha_tilde[i, j]   # = (wt_j / wt_i) * a_tilde[j, i]
-            cf_s = w[j] - coeffs.alpha[i, j]          # = (w_j  / wt_i) * a_tilde[j, i]
-            if cf_t != 0.0:
-                terms.append((-h * cf_t, trans[j]))
-            if cf_s != 0.0:
-                terms.append((h * cf_s, src[j]))
-        acc_p, acc_q = _costate_lincomb(p_next, terms)
+    for i, coupled, trans_terms, src_terms in coeffs.plan:
+        acc_p, acc_q = p, q
+        for j, cf_t, cf_s in coupled:
+            if cf_t:   # cf_t = (wt_j / wt_i) * a_tilde[j, i]
+                c = -h * cf_t
+                acc_p = _accumulate(acc_p, p, c * trans[j][0])
+                acc_q = _accumulate(acc_q, q, c * trans[j][1])
+            if cf_s:   # cf_s = (w_j / wt_i) * a_tilde[j, i]
+                c = h * cf_s
+                acc_p = _accumulate(acc_p, p, c * src[j][0])
+                acc_q = _accumulate(acc_q, q, c * src[j][1])
         trans[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
 
-        terms = []
-        for j in range(i, s):
-            cf_t = wt[j] - coeffs.beta_tilde[i, j]    # = (wt_j / w_i) * a_impl[j, i]
-            if cf_t != 0.0:
-                terms.append((-h * cf_t, trans[j]))
-        for j in range(i + 1, s):
-            cf_s = w[j] - coeffs.beta[i, j]           # = (w_j / w_i) * a_impl[j, i]
-            if cf_s != 0.0:
-                terms.append((h * cf_s, src[j]))
-        b_p, b_q = _costate_lincomb(p_next, terms)
-        k = h * tab.a_impl[i, i] / eps
+        b_p, b_q = p, q
+        for j, cf in trans_terms:   # cf = (wt_j / w_i) * a_impl[j, i]
+            c = -h * cf
+            b_p = _accumulate(b_p, p, c * trans[j][0])
+            b_q = _accumulate(b_q, q, c * trans[j][1])
+        for j, cf in src_terms:     # cf = (w_j / w_i) * a_impl[j, i]
+            c = h * cf
+            b_p = _accumulate(b_p, p, c * src[j][0])
+            b_q = _accumulate(b_q, q, c * src[j][1])
+        k = h * tab.plan.stages[i][1] / eps
         pq = b_q / (1.0 + k)
         pp = b_p + k * fprime[i] * pq
         src[i] = _source_transpose(fprime[i], eps, pp, pq)
 
-    terms = []
-    for i in range(s):
-        if wt[i] != 0.0:
-            terms.append((-h * wt[i], trans[i]))
-        if w[i] != 0.0:
-            terms.append((h * w[i], src[i]))
-    return CostateState(*_costate_lincomb(p_next, terms))
+    out_p, out_q = p, q
+    for i, wt, w in tab.plan.weights:   # the ark form has every weight nonzero
+        c = -h * wt
+        out_p = _accumulate(out_p, p, c * trans[i][0])
+        out_q = _accumulate(out_q, q, c * trans[i][1])
+        c = h * w
+        out_p = _accumulate(out_p, p, c * src[i][0])
+        out_q = _accumulate(out_q, q, c * src[i][1])
+    return CostateState(out_p, out_q)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,

@@ -9,6 +9,14 @@ below the step size.
 imex_step is the one step: the stage-value form, which also returns the stage
 states the adjoint sweep transposes.  The algebraically equivalent slope form
 is a test oracle (tests/oracles.py), not library code.
+
+A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
+built once with the pair: the nonzero entries as Python floats, so a step
+neither slices the coefficient arrays nor compares numpy scalars with zero.
+Finite values are checked once per step, on the result; a failure names the
+first non-finite stage (see DivergenceError).  Both keep every element's
+floating-point operations and their order, so results are bit-identical to
+the per-stage formulation kept in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -23,10 +31,13 @@ from .tableau import ImexTableau
 
 
 class DivergenceError(RuntimeError):
-    """A stage or step produced non-finite values; carries step and stage indices.
+    """A time step produced a non-finite state; carries step and stage indices.
 
-    `time` is the start time of the failing step when the error comes from
-    solve_forward, and None when it comes from a bare imex_step call.
+    Raised when the result of a step is non-finite.  `stage` names the first
+    stage of that step whose state is non-finite, or the last stage when all
+    of them are finite and only the update overflowed.  `time` is the start
+    time of the failing step when the error comes from solve_forward, and
+    None when it comes from a bare imex_step call.
     """
 
     def __init__(self, step: int, stage: int, time: Optional[float] = None):
@@ -70,43 +81,37 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _require_finite(arr, step_index, stage_index):
-    if not np.isfinite(arr).all():
-        raise DivergenceError(step_index, stage_index)
+def _accumulate(out, x, term):
+    """x + term when out is still x, else out += term; x itself is never written.
 
-
-def _lincomb(x, terms):
-    """x + c_1 t_1 + c_2 t_2 + ..., added left to right; x itself when terms is empty.
-
-    The first term allocates the result and later terms add into it, so x is
-    never written and needs no copy.  Each product is rounded before it is
-    added, as in x.copy() followed by +=; a subtraction is written with a
-    negated coefficient, which IEEE arithmetic rounds identically.
+    A combination summed this way allocates its result once, at the first
+    term, and adds later terms into it, so a result that outlives the step
+    (a stored stage or costate) is allocated before the step's temporaries.
     """
-    out = x
-    for c, t in terms:
-        if out is x:
-            out = x + c * t
-        else:
-            out += c * t
+    if out is x:
+        return x + term
+    out += term
     return out
 
 
-def _combine(y: RelaxState, h, ct, ci, trans_u, trans_v, source):
-    """(u, v) = y - h * sum_j ct[j] (trans_u[j], trans_v[j]) + h * sum_j ci[j] (0, source[j]).
+def _combine(u, v, h: float, terms, trans_u, trans_v, source):
+    """(u, v) - h * sum ct (trans_u[j], trans_v[j]) + h * sum ci (0, source[j]) over terms (j, ct, ci).
 
-    Zero coefficients are skipped; for v the transport term of j is added
-    before its source term.  A component with no term is y's own array.
+    Terms are added left to right, and for v the transport term of j before
+    its source term; a zero coefficient is skipped.  A component with no term
+    is the input array itself.  Each product is rounded before it is added;
+    a subtraction is written with a negated coefficient, which IEEE
+    arithmetic rounds identically.
     """
-    tu, tv = [], []
-    for j in range(len(ct)):
-        if ct[j] != 0.0:
-            c = -h * ct[j]
-            tu.append((c, trans_u[j]))
-            tv.append((c, trans_v[j]))
-        if ci[j] != 0.0:
-            tv.append((h * ci[j], source[j]))
-    return _lincomb(y.u, tu), _lincomb(y.v, tv)
+    ru, rv = u, v
+    for j, ct, ci in terms:
+        if ct:
+            c = -h * ct
+            ru = _accumulate(ru, u, c * trans_u[j])
+            rv = _accumulate(rv, v, c * trans_v[j])
+        if ci:
+            rv = _accumulate(rv, v, (h * ci) * source[j])
+    return ru, rv
 
 
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
@@ -120,32 +125,37 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     V = rhs + h*a_ii*src.  This arrangement avoids amplifying stage rounding
     by 1/eps, so local-equilibrium states (v = f(u) constant) are exact fixed
     points.  The step update applies the explicit weights to the transport
-    increments and the implicit weights to the source values.
+    increments and the implicit weights to the source values.  The
+    coefficients come from tab.plan, so zero entries cost nothing.
+
+    Finite values are checked once, on the result: if y_{n+1} has a
+    non-finite entry, DivergenceError names step_index and the first stage
+    whose u or v is non-finite, or stage s-1 when every stage is finite.  A
+    non-finite stage that enters the result only through zero coefficients
+    goes unreported.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    s = tab.s
-    at, ai = tab.a_tilde, tab.a_impl
+    u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
     # overflow is reported through DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(s):
-            ru, rv = _combine(y_n, h, at[i, :i], ai[i, :i], trans_u, trans_v, source)
-            fu = np.asarray(model.flux(ru), float)
-            src = (fu - rv) / (eps + h * ai[i, i])
-            vi = rv + (h * ai[i, i]) * src
-            _require_finite(ru, step_index, i)
-            _require_finite(vi, step_index, i)
-            stage = RelaxState(ru, vi)
+        for terms, diag in tab.plan.stages:
+            ru, rv = _combine(u, v, h, terms, trans_u, trans_v, source)
+            src = np.asarray(model.flux(ru), float) - rv
+            src /= eps + h * diag
+            stage = RelaxState(ru, rv + (h * diag) * src)
             stages.append(stage)
             g = apply_dx(op, stage)
             trans_u.append(g.u)
             trans_v.append(g.v)
             source.append(src)
-        u1, v1 = _combine(y_n, h, tab.w_tilde, tab.w, trans_u, trans_v, source)
-        _require_finite(u1, step_index, s - 1)
-        _require_finite(v1, step_index, s - 1)
+        u1, v1 = _combine(u, v, h, tab.plan.weights, trans_u, trans_v, source)
+        if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
+            bad = (i for i, st in enumerate(stages)
+                   if not (np.isfinite(st.u).all() and np.isfinite(st.v).all()))
+            raise DivergenceError(step_index, next(bad, tab.s - 1))
     return RelaxState(u1, v1), stages
 
 

@@ -16,13 +16,18 @@ The transpose used by the adjoint sweep is the exact linear-algebraic
 transpose of this map; for the limited second-order scheme it transposes the
 linearization with the limiter choices frozen at a given base state.
 
-Periodic neighbours come from four slice helpers, each filling one
+Periodic neighbours come from slice helpers, each filling one
 `np.empty_like` buffer: `_prev` (x[i-1]), `_next` (x[i+1]), `_back_diff`
-(x[i] - x[i-1]) and `_fwd_diff` (x[i] - x[i+1]), all with wraparound.  They
-replace numpy's `roll`, which costs several times more per call at these
-sizes.  Each output element sees the same floating-point operations in the
-same order as the `roll` formulas, so the results are bit-identical to them;
-the test-only reference in tests/oracles.py checks that with `np.array_equal`.
+(x[i] - x[i-1]), `_fwd_diff` (x[i] - x[i+1]), and `_next_sub` and `_prev_sub`,
+which write a difference x - y straight into its shifted place, all with
+wraparound.  They replace numpy's `roll`, which costs several times more per
+call at these sizes.  The operators compute a*u once and scale their own
+temporaries in place (/ (2a), * 0.5, / dx, * a^2), and the transpose forms
+fm_bar = vf_bar/2 - uf_bar/(2a), which IEEE arithmetic rounds exactly as
+(-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same floating-point
+operations in the same order as the `roll` formulas, so the results are
+bit-identical to them; the test-only reference in tests/oracles.py checks
+that with `np.array_equal`.
 """
 from __future__ import annotations
 
@@ -85,6 +90,22 @@ def _fwd_diff(x):
     return out
 
 
+def _next_sub(x, y):
+    """x[i+1] - y[i+1] with periodic wraparound (x - y rolled by -1)."""
+    out = np.empty_like(x)
+    np.subtract(x[1:], y[1:], out=out[:-1])
+    np.subtract(x[:1], y[:1], out=out[-1:])
+    return out
+
+
+def _prev_sub(x, y):
+    """x[i-1] - y[i-1] with periodic wraparound (x - y rolled by +1)."""
+    out = np.empty_like(x)
+    np.subtract(x[:-1], y[:-1], out=out[1:])
+    np.subtract(x[-1:], y[-1:], out=out[:1])
+    return out
+
+
 def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slope limiter: 0 when the arguments disagree in sign, else the smaller magnitude.
 
@@ -115,26 +136,32 @@ def _char_vars(op, u, v):
 
 def _face_values(op: SpatialOp, u, v):
     """Interface values of both characteristic families at faces i+1/2."""
-    wp, wm = _char_vars(op, u, v)
+    au = op.a * u
+    wp = v + au
     if op.scheme == "upwind1":
-        fp = wp
-        fm = _next(wm)
-    else:
-        dp = _back_diff(wp)
-        sp = minmod(dp, _next(dp))
-        fp = wp + 0.5 * sp
-        dm = _back_diff(wm)
-        sm = minmod(dm, _next(dm))
-        fm = _next(wm - 0.5 * sm)
-    return fp, fm
+        return wp, _next_sub(v, au)
+    wm = v - au
+    dp = _back_diff(wp)
+    fp = minmod(dp, _next(dp))
+    fp *= 0.5
+    fp += wp
+    dm = _back_diff(wm)
+    sm = minmod(dm, _next(dm))
+    sm *= 0.5
+    return fp, _next_sub(wm, sm)
 
 
 def _divergence(op: SpatialOp, fp, fm):
     a, dx = op.a, op.grid.dx
-    u_face = (fp - fm) / (2.0 * a)
-    v_face = 0.5 * (fp + fm)
-    out_u = _back_diff(v_face) / dx
-    out_v = a * a * _back_diff(u_face) / dx
+    u_face = fp - fm
+    u_face /= 2.0 * a
+    v_face = fp + fm
+    v_face *= 0.5
+    out_u = _back_diff(v_face)
+    out_u /= dx
+    out_v = _back_diff(u_face)
+    out_v *= a * a
+    out_v /= dx
     return out_u, out_v
 
 
@@ -204,15 +231,21 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = No
     _check_state(op, zu, zv)
     a, dx = op.a, op.grid.dx
 
-    # transpose of the face-difference / back-transform stage
-    vf_bar = _fwd_diff(zu) / dx
-    uf_bar = a * a * _fwd_diff(zv) / dx
-    fp_bar = uf_bar / (2.0 * a) + 0.5 * vf_bar
-    fm_bar = -uf_bar / (2.0 * a) + 0.5 * vf_bar
+    # transpose of the face-difference / back-transform stage:
+    # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2
+    half = _fwd_diff(zu)
+    half /= dx
+    half *= 0.5
+    t = _fwd_diff(zv)
+    t *= a * a
+    t /= dx
+    t /= 2.0 * a
+    fp_bar = t + half
+    pre = _prev_sub(half, t)   # fm_bar[i-1]
 
     if op.scheme == "upwind1":
         wp_bar = fp_bar
-        wm_bar = _prev(fm_bar)
+        wm_bar = pre
     else:
         if base is None:
             raise ValueError("muscl2 transpose needs the linearization base state")
@@ -220,10 +253,10 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = No
         # w+ face: fp = wp + sigma(wp)/2
         wp_bar = fp_bar + 0.5 * _slope_transpose(fp_bar, fp_masks)
         # w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
-        pre = _prev(fm_bar)
         wm_bar = pre - 0.5 * _slope_transpose(pre, fm_masks)
 
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u
-    out_u = a * (wp_bar - wm_bar)
-    out_v = wp_bar + wm_bar
-    return RelaxState(out_u, out_v)
+    out_u = wp_bar - wm_bar
+    out_u *= a
+    wm_bar += wp_bar
+    return RelaxState(out_u, wm_bar)

@@ -9,9 +9,9 @@ conditions that `check_order` evaluates alongside the standard ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,13 +39,39 @@ class TableauParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+class StepPlan(NamedTuple):
+    """The nonzero coefficients of a forward step, as Python floats in stage order.
+
+    stages[i] is (terms, a_impl[i, i]) with terms the (j, a_tilde[i, j],
+    a_impl[i, j]) for j < i where either entry is nonzero; weights holds the
+    (j, w_tilde[j], w[j]) where either weight is nonzero.  A tuple keeps a zero
+    entry when its partner is nonzero; the stepper skips it.
+    """
+
+    stages: Tuple[Tuple[Tuple[Tuple[int, float, float], ...], float], ...]
+    weights: Tuple[Tuple[int, float, float], ...]
+
+
+def _pairs(js, first, second):
+    """(j, first[j], second[j]) as Python floats for each j where either entry is nonzero."""
+    return tuple((j, float(first[j]), float(second[j])) for j in js
+                 if first[j] != 0.0 or second[j] != 0.0)
+
+
+def _nonzero(js, values):
+    """(j, values[j]) as Python floats for each j where the value is nonzero."""
+    return tuple((j, float(values[j])) for j in js if values[j] != 0.0)
+
+
 @dataclass(frozen=True)
 class ImexTableau:
     """Explicit/implicit Butcher pair sharing one stage count.
 
     a_tilde is strictly lower triangular (explicit), a_impl lower triangular
     with diagonal allowed (diagonally implicit).  The abscissae c_tilde and c
-    are the row sums of the respective matrices.
+    are the row sums of the respective matrices.  `plan` is derived from the
+    entries when the pair is built: the step plan imex_step iterates, so a
+    step never indexes or compares the coefficient arrays.
     """
 
     name: str
@@ -56,6 +82,7 @@ class ImexTableau:
     w: np.ndarray
     c_tilde: np.ndarray
     c: np.ndarray
+    plan: StepPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.s
@@ -75,6 +102,11 @@ class ImexTableau:
             raise ValueError("a_impl must be lower triangular")
         if np.any(self.a_tilde.sum(axis=1) != self.c_tilde) or np.any(self.a_impl.sum(axis=1) != self.c):
             raise ValueError("abscissae must equal the matrix row sums exactly")
+        at, ai = self.a_tilde, self.a_impl
+        plan = StepPlan(
+            stages=tuple((_pairs(range(i), at[i], ai[i]), float(ai[i, i])) for i in range(s)),
+            weights=_pairs(range(s), self.w_tilde, self.w))
+        object.__setattr__(self, "plan", plan)
 
 
 def make_imex_tableau(name, a_tilde, a_impl, w_tilde, w) -> ImexTableau:
@@ -100,6 +132,16 @@ class AdjointCoeffs:
 
     gamma/gamma_tilde are the row sums of alpha/alpha_tilde; they enter the
     third-order branch conditions.
+
+    `plan` is derived from the matrices: the coefficients adjoint_step_ark
+    combines, as Python floats, one entry per stage in the order the sweep
+    visits them (i = s-1 down to 0).  Entry i is (i, coupled, trans, src):
+    coupled holds (j, w_tilde[j] - alpha_tilde[i, j], w[j] - alpha[i, j]) for
+    j > i where either difference is nonzero, trans the nonzero
+    (j, w_tilde[j] - beta_tilde[i, j]) for j >= i, and src the nonzero
+    (j, w[j] - beta[i, j]) for j > i.  The weights are the diagonals,
+    alpha_tilde[j, j] = w_tilde[j] and alpha[j, j] = w[j] exactly, because
+    a_tilde[j, j] = 0.
     """
 
     alpha_tilde: np.ndarray
@@ -108,6 +150,18 @@ class AdjointCoeffs:
     beta: np.ndarray
     gamma: np.ndarray
     gamma_tilde: np.ndarray
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        wt, w = np.diag(self.alpha_tilde), np.diag(self.alpha)
+        s = len(wt)
+        plan = tuple(
+            (i,
+             _pairs(range(i + 1, s), wt - self.alpha_tilde[i], w - self.alpha[i]),
+             _nonzero(range(i, s), wt - self.beta_tilde[i]),
+             _nonzero(range(i + 1, s), w - self.beta[i]))
+            for i in reversed(range(s)))
+        object.__setattr__(self, "plan", plan)
 
 
 def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:

@@ -8,13 +8,30 @@ in the same order, so the two must agree bit for bit (see test_spatial.py).
 `imex_step_kform` is the IMEX step in slope form.  It is algebraically equal
 to the library's stage-value `imex_step` but accumulates slopes instead of
 increments, so the two agree to round-off, not bit for bit.
+
+`ref_imex_step` and `ref_adjoint_step_ark` are the stage-value step and the
+ark-form adjoint step as first written: they slice the tableau arrays, test
+each numpy coefficient against zero and build a term list per combination
+on every step, and `ref_imex_step` checks every stage for finite values.
+The library's steps take the same coefficients from precomputed plans and
+must agree with these bit for bit: `assert_steps_match_reference` checks
+one step of each (used by test_step_oracles.py and test_random_pairs.py).
+
+`random_pair` draws a random IMEX pair with zero weights among its entries.
 """
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
-from relaxopt.core import RelaxState
-from relaxopt.spatial import apply_dx
+from relaxopt.adjoint import (CostateState, _source_transpose, _transport_transpose,
+                              adjoint_step_ark)
+from relaxopt.core import FluxModel, RelaxState
+from relaxopt.forward import DivergenceError, imex_step
+from relaxopt.spatial import SpatialOp, apply_dx
+from relaxopt.tableau import (AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs,
+                              make_imex_tableau)
 
 
 def _minmod(x, y):
@@ -142,3 +159,183 @@ def imex_step_kform(tab, op, model, eps, y_n, h):
         if tab.w[i] != 0.0:
             v1 += (h * tab.w[i]) * k_v[i]
     return RelaxState(u1, v1)
+
+
+def _require_finite(arr, step_index, stage_index):
+    if not np.isfinite(arr).all():
+        raise DivergenceError(step_index, stage_index)
+
+
+def _lincomb(x, terms):
+    """x + c_1 t_1 + c_2 t_2 + ..., added left to right; x itself when terms is empty.
+
+    The first term allocates the result and later terms add into it, so x is
+    never written and needs no copy.  Each product is rounded before it is
+    added, as in x.copy() followed by +=; a subtraction is written with a
+    negated coefficient, which IEEE arithmetic rounds identically.
+    """
+    out = x
+    for c, t in terms:
+        if out is x:
+            out = x + c * t
+        else:
+            out += c * t
+    return out
+
+
+def _combine(y: RelaxState, h, ct, ci, trans_u, trans_v, source):
+    """(u, v) = y - h * sum_j ct[j] (trans_u[j], trans_v[j]) + h * sum_j ci[j] (0, source[j]).
+
+    Zero coefficients are skipped; for v the transport term of j is added
+    before its source term.  A component with no term is y's own array.
+    """
+    tu, tv = [], []
+    for j in range(len(ct)):
+        if ct[j] != 0.0:
+            c = -h * ct[j]
+            tu.append((c, trans_u[j]))
+            tv.append((c, trans_v[j]))
+        if ci[j] != 0.0:
+            tv.append((h * ci[j], source[j]))
+    return _lincomb(y.u, tu), _lincomb(y.v, tv)
+
+
+def ref_imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
+                  y_n: RelaxState, h: float, step_index: int = 0):
+    """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
+
+    Stage i: the u-component is fully explicit (the source has zero first
+    component); the v-component solves
+        V = rhs + (h*a_ii/eps) * (f(U) - V)
+    in closed form, evaluated as src = (f(U) - rhs)/(eps + h*a_ii) and
+    V = rhs + h*a_ii*src.  This arrangement avoids amplifying stage rounding
+    by 1/eps, so local-equilibrium states (v = f(u) constant) are exact fixed
+    points.  The step update applies the explicit weights to the transport
+    increments and the implicit weights to the source values.
+    """
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    s = tab.s
+    at, ai = tab.a_tilde, tab.a_impl
+    stages: List[RelaxState] = []
+    trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
+    # overflow is reported through DivergenceError, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(s):
+            ru, rv = _combine(y_n, h, at[i, :i], ai[i, :i], trans_u, trans_v, source)
+            fu = np.asarray(model.flux(ru), float)
+            src = (fu - rv) / (eps + h * ai[i, i])
+            vi = rv + (h * ai[i, i]) * src
+            _require_finite(ru, step_index, i)
+            _require_finite(vi, step_index, i)
+            stage = RelaxState(ru, vi)
+            stages.append(stage)
+            g = apply_dx(op, stage)
+            trans_u.append(g.u)
+            trans_v.append(g.v)
+            source.append(src)
+        u1, v1 = _combine(y_n, h, tab.w_tilde, tab.w, trans_u, trans_v, source)
+        _require_finite(u1, step_index, s - 1)
+        _require_finite(v1, step_index, s - 1)
+    return RelaxState(u1, v1), stages
+
+
+def _costate_lincomb(x: CostateState, terms):
+    """_lincomb on both components: x + sum of c * (t_p, t_q) over terms (c, (t_p, t_q))."""
+    return (_lincomb(x.p, [(c, t[0]) for c, t in terms]),
+            _lincomb(x.q, [(c, t[1]) for c, t in terms]))
+
+
+def ref_adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
+                         model: FluxModel, eps: float, stages: List[RelaxState],
+                         p_next: CostateState, h: float) -> CostateState:
+    """One backward step in stage-costate form; returns p_n.
+
+    Stages are processed in reverse; the implicit coupling in the q-component
+    is eliminated in closed form, mirroring the forward stage solve.
+    """
+    s = tab.s
+    wt, w = tab.w_tilde, tab.w
+    fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
+    trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
+    src = [None] * s     # source contributions of the stage costates
+    for i in reversed(range(s)):
+        terms = []
+        for j in range(i + 1, s):
+            cf_t = wt[j] - coeffs.alpha_tilde[i, j]   # = (wt_j / wt_i) * a_tilde[j, i]
+            cf_s = w[j] - coeffs.alpha[i, j]          # = (w_j  / wt_i) * a_tilde[j, i]
+            if cf_t != 0.0:
+                terms.append((-h * cf_t, trans[j]))
+            if cf_s != 0.0:
+                terms.append((h * cf_s, src[j]))
+        acc_p, acc_q = _costate_lincomb(p_next, terms)
+        trans[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
+
+        terms = []
+        for j in range(i, s):
+            cf_t = wt[j] - coeffs.beta_tilde[i, j]    # = (wt_j / w_i) * a_impl[j, i]
+            if cf_t != 0.0:
+                terms.append((-h * cf_t, trans[j]))
+        for j in range(i + 1, s):
+            cf_s = w[j] - coeffs.beta[i, j]           # = (w_j / w_i) * a_impl[j, i]
+            if cf_s != 0.0:
+                terms.append((h * cf_s, src[j]))
+        b_p, b_q = _costate_lincomb(p_next, terms)
+        k = h * tab.a_impl[i, i] / eps
+        pq = b_q / (1.0 + k)
+        pp = b_p + k * fprime[i] * pq
+        src[i] = _source_transpose(fprime[i], eps, pp, pq)
+
+    terms = []
+    for i in range(s):
+        if wt[i] != 0.0:
+            terms.append((-h * wt[i], trans[i]))
+        if w[i] != 0.0:
+            terms.append((h * w[i], src[i]))
+    return CostateState(*_costate_lincomb(p_next, terms))
+
+
+def random_pair(rng, zero_weights=True):
+    """Random pair with s in 1..4 stages.
+
+    The explicit matrix is strictly lower triangular and the implicit one
+    lower triangular.  With zero_weights about a quarter of the weights are
+    zero; without, the weights are nonzero and about a quarter of the matrix
+    entries are zero instead.
+    """
+    s = int(rng.integers(1, 5))
+    a_tilde = np.tril(rng.uniform(0.0, 1.0, (s, s)), -1)
+    a_impl = np.tril(rng.uniform(0.0, 1.0, (s, s)))
+    if zero_weights:
+        w_tilde = rng.uniform(0.0, 1.0, s) * (rng.random(s) > 0.25)
+        w = rng.uniform(0.0, 1.0, s) * (rng.random(s) > 0.25)
+    else:
+        a_tilde *= rng.random((s, s)) > 0.25
+        a_impl *= rng.random((s, s)) > 0.25
+        w_tilde = rng.uniform(0.1, 1.0, s)
+        w = rng.uniform(0.1, 1.0, s)
+    return make_imex_tableau(f"random-{s}", a_tilde, a_impl, w_tilde, w)
+
+
+def assert_steps_match_reference(tab, op, model, eps, y, h, p_next):
+    """imex_step and, when every weight is nonzero, adjoint_step_ark equal the references.
+
+    Asserts bitwise equality of the step, its stages and the returned costate,
+    and that p_next is left unchanged; returns whether the ark step ran.
+    """
+    y1, stages = imex_step(tab, op, model, eps, y, h)
+    r1, ref_stages = ref_imex_step(tab, op, model, eps, y, h)
+    assert np.array_equal(y1.u, r1.u) and np.array_equal(y1.v, r1.v)
+    assert len(stages) == len(ref_stages) == tab.s
+    for st, ref in zip(stages, ref_stages):
+        assert np.array_equal(st.u, ref.u) and np.array_equal(st.v, ref.v)
+    try:
+        coeffs = adjoint_coeffs(tab)
+    except ZeroWeightError:
+        return False
+    kept = p_next.copy()
+    got = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
+    want = ref_adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
+    assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+    assert np.array_equal(p_next.p, kept.p) and np.array_equal(p_next.q, kept.q)
+    return True

@@ -10,7 +10,7 @@ from relaxopt.forward import (DivergenceError, imex_step, solve_forward,
 from relaxopt.spatial import SpatialOp
 from relaxopt.tableau import builtin_names, builtin_tableau
 
-from oracles import imex_step_kform
+from oracles import imex_step_kform, ref_imex_step
 
 
 def upwind_increment(a, dx, u, v):
@@ -310,19 +310,64 @@ def _nan_on_call(k):
     return FluxModel(flux=flux, flux_deriv=lambda u: np.multiply(u, 1.0))
 
 
-@pytest.mark.parametrize("stage", range(5))
+@pytest.mark.parametrize("stage", range(max(builtin_tableau(n).s for n in builtin_names())))
 def test_divergence_names_the_failing_stage(stage):
-    # the flux is called once by relax_init, then once per stage; ars-443 has
-    # five stages, so call 1 + 2*5 + stage is that stage of step 2
-    tab = builtin_tableau("ars-443")
-    assert tab.s == 5
+    # the flux is called once by relax_init, then once per stage, so call
+    # 1 + 2*s + stage is that stage of step 2; every registered pair with a
+    # stage of that index is checked
     g, _, u0, cfg = _setup(n=40, a=1.8)
-    prob = Problem(g, _nan_on_call(1 + 2 * tab.s + stage), cfg, t_final=1.0)
+    h = 0.5 * g.dx / 1.8
+    pairs = [tab for tab in map(builtin_tableau, builtin_names()) if tab.s > stage]
+    assert pairs
+    for tab in pairs:
+        prob = Problem(g, _nan_on_call(1 + 2 * tab.s + stage), cfg, t_final=1.0)
+        with pytest.raises(DivergenceError) as err:
+            solve_forward(prob, tab, u0)
+        assert (err.value.step, err.value.stage) == (2, stage), tab.name
+        assert err.value.time == pytest.approx(2.0 * h, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_bare_imex_step_reports_given_step_index(name):
+    # flux call k (0-based) is stage k of this one step; the last stage is
+    # poisoned, and a bare call has no time to report
+    tab = builtin_tableau(name)
+    g, _, u0, cfg = _setup(n=40, a=1.8)
+    model = _nan_on_call(tab.s - 1)
+    y = RelaxState(u0, 0.5 * np.square(u0))
     with pytest.raises(DivergenceError) as err:
-        solve_forward(prob, tab, u0)
-    h = prob.c_cfl * g.dx / 1.8
-    assert (err.value.step, err.value.stage) == (2, stage)
-    assert err.value.time == pytest.approx(2.0 * h, rel=1e-12)
+        imex_step(tab, SpatialOp(g, 1.8), model, cfg.epsilon, y, 0.5 * g.dx / 1.8,
+                  step_index=17)
+    assert (err.value.step, err.value.stage, err.value.time) == (17, tab.s - 1, None)
+    assert str(err.value) == f"non-finite state at step 17, stage {tab.s - 1}"
+
+
+def _divergence_of(step, *args):
+    try:
+        step(*args, step_index=3)
+    except DivergenceError as err:
+        return err.step, err.stage
+    return None
+
+
+def test_step_check_names_the_stage_the_stage_checks_named():
+    # huge steps overflow in a middle stage (ars-443, bpr-343), only in the
+    # update (ars-222, stage s-1) or not at all (imex-euler: a linear flux at
+    # equilibrium); the reference checks every stage, the step only its result
+    g = make_grid(0.0, 2.0 * np.pi, 40)
+    model = advection_model(1.0)
+    u = 0.5 + np.sin(g.centers)
+    y = RelaxState(u, model.flux(u))
+    seen = set()
+    for name in builtin_names():
+        tab = builtin_tableau(name)
+        for scheme in ("upwind1", "muscl2"):
+            for h in (1e150, 1e300):
+                args = (tab, SpatialOp(g, 1.8, scheme), model, 1e-6, y, h)
+                got = _divergence_of(imex_step, *args)
+                assert got == _divergence_of(ref_imex_step, *args), (name, scheme, h)
+                seen.add(None if got is None else got[1] == tab.s - 1)
+    assert seen == {None, True, False}
 
 
 def test_solve_forward_validates_inputs():

@@ -2,32 +2,23 @@
 
 Each pair has s in 1..4 stages, a strictly lower triangular explicit matrix,
 a lower triangular implicit matrix and weights of which some are zero, so the
-"ark" sweep also exercises its fallback to "xi".
+"ark" sweep also exercises its fallback to "xi".  The bitwise test adds pairs
+with nonzero weights and zero matrix entries, which the ark step accepts.
 """
 import numpy as np
 import pytest
 
-from relaxopt.adjoint import FORMS, assemble_gradient, solve_adjoint
+from relaxopt.adjoint import FORMS, CostateState, assemble_gradient, solve_adjoint
 from relaxopt.core import RelaxConfig, RelaxState, burgers_model, make_grid, subchar_speed
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import ControlProblem
 from relaxopt.spatial import SpatialOp
-from relaxopt.tableau import make_imex_tableau
 
-from oracles import imex_step_kform
+from oracles import assert_steps_match_reference, imex_step_kform, random_pair
 
 N = 20
 EPS = 1e-2
 PAIRS = 30
-
-
-def random_pair(rng):
-    s = int(rng.integers(1, 5))
-    a_tilde = np.tril(rng.uniform(0.0, 1.0, (s, s)), -1)
-    a_impl = np.tril(rng.uniform(0.0, 1.0, (s, s)))
-    w_tilde = rng.uniform(0.0, 1.0, s) * (rng.random(s) > 0.25)
-    w = rng.uniform(0.0, 1.0, s) * (rng.random(s) > 0.25)
-    return make_imex_tableau(f"random-{s}", a_tilde, a_impl, w_tilde, w)
 
 
 def _setup(rng):
@@ -68,3 +59,21 @@ def test_adjoint_forms_agree_on_random_pairs(scheme):
                  for f in FORMS]
         for g_form in grads[1:]:
             assert np.max(np.abs(g_form - grads[0])) <= 1e-11, tab
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+def test_steps_match_reference_bitwise_on_random_pairs(scheme):
+    # seed 11 draws the pairs and states of the slope-form test above; the
+    # costates come from their own generator so those draws stay the same
+    arks = 0
+    costates = np.random.default_rng(14)
+    for seed, zero_weights in ((11, True), (13, False)):
+        rng = np.random.default_rng(seed)
+        for _ in range(PAIRS):
+            tab = random_pair(rng, zero_weights)
+            g, model, u, a = _setup(rng)
+            y = RelaxState(u, model.flux(u) + 0.1 * rng.standard_normal(N))
+            p_next = CostateState(costates.standard_normal(N), costates.standard_normal(N))
+            op = SpatialOp(g, a, scheme)
+            arks += assert_steps_match_reference(tab, op, model, EPS, y, 0.5 * g.dx / a, p_next)
+    assert arks >= PAIRS

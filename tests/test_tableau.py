@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from relaxopt.tableau import (ORDER_TOL, TableauParseError, ZeroWeightError,
                               adjoint_coeffs, builtin_names, builtin_tableau,
                               check_order, load_tableau_file, make_imex_tableau,
                               order_condition_residuals)
+
+from oracles import random_pair
 
 
 def test_imex_euler_adjoint_coeffs_by_substitution():
@@ -207,3 +211,83 @@ def test_load_tableau_file_row_length_mismatch(tmp_path):
     with pytest.raises(TableauParseError) as exc:
         load_tableau_file(str(path))
     assert exc.value.line_no == 3
+
+
+def _plan_pairs(rng_seed=11, count=30):
+    """The registered pairs, then random pairs with zero weights and with zero entries."""
+    rng = np.random.default_rng(rng_seed)
+    tabs = [builtin_tableau(n) for n in builtin_names()]
+    tabs += [random_pair(rng) for _ in range(count)]
+    tabs += [random_pair(rng, zero_weights=False) for _ in range(count)]
+    return tabs
+
+
+def _all_floats(*values):
+    return all(type(x) is float for x in values)
+
+
+def test_step_plan_holds_the_nonzero_entries_in_stage_order():
+    for tab in _plan_pairs():
+        s = tab.s
+        assert len(tab.plan.stages) == s
+        at, ai = np.zeros((s, s)), np.zeros((s, s))
+        for i, (terms, diag) in enumerate(tab.plan.stages):
+            assert [j for j, _, _ in terms] == sorted({j for j, _, _ in terms})
+            for j, ct, ci in terms:
+                assert 0 <= j < i and _all_floats(ct, ci) and (ct != 0.0 or ci != 0.0)
+                at[i, j], ai[i, j] = ct, ci
+            assert _all_floats(diag)
+            ai[i, i] = diag
+        assert np.array_equal(at, tab.a_tilde) and np.array_equal(ai, tab.a_impl), tab
+        wt, w = np.zeros(s), np.zeros(s)
+        assert [j for j, _, _ in tab.plan.weights] == sorted({j for j, _, _ in tab.plan.weights})
+        for j, cwt, cw in tab.plan.weights:
+            assert _all_floats(cwt, cw) and (cwt != 0.0 or cw != 0.0)
+            wt[j], w[j] = cwt, cw
+        assert np.array_equal(wt, tab.w_tilde) and np.array_equal(w, tab.w), tab
+
+
+def test_step_plan_skips_negative_zero_entries():
+    tab = make_imex_tableau("signed-zero", [[0.0, 0.0], [-0.0, 0.0]],
+                            [[0.5, 0.0], [-0.0, 0.5]], [-0.0, 1.0], [0.5, 0.5])
+    assert tab.plan.stages[1] == ((), 0.5)
+    assert tab.plan.weights == ((0, -0.0, 0.5), (1, 1.0, 0.5))
+
+
+def test_ark_plan_holds_the_nonzero_coefficient_differences():
+    checked = 0
+    for tab in _plan_pairs():
+        try:
+            cf = adjoint_coeffs(tab)
+        except ZeroWeightError:
+            continue
+        checked += 1
+        s, wt, w = tab.s, tab.w_tilde, tab.w
+        want = []
+        for i in reversed(range(s)):
+            coupled = tuple((j, float(wt[j] - cf.alpha_tilde[i, j]), float(w[j] - cf.alpha[i, j]))
+                            for j in range(i + 1, s)
+                            if wt[j] - cf.alpha_tilde[i, j] != 0.0 or w[j] - cf.alpha[i, j] != 0.0)
+            trans = tuple((j, float(wt[j] - cf.beta_tilde[i, j])) for j in range(i, s)
+                          if wt[j] - cf.beta_tilde[i, j] != 0.0)
+            src = tuple((j, float(w[j] - cf.beta[i, j])) for j in range(i + 1, s)
+                        if w[j] - cf.beta[i, j] != 0.0)
+            want.append((i, coupled, trans, src))
+        assert cf.plan == tuple(want), tab
+        assert all(_all_floats(*(c for t in entry[1] for c in t[1:]),
+                               *(c for t in entry[2] + entry[3] for c in t[1:]))
+                   for entry in cf.plan)
+    assert checked >= 30
+
+
+def test_plans_stay_out_of_repr_and_follow_replace():
+    tab = builtin_tableau("ars-222")
+    assert "plan" not in repr(tab)
+    assert "plan" not in repr(adjoint_coeffs(tab))
+    renamed = dataclasses.replace(tab, name="renamed")
+    assert renamed.plan == tab.plan
+    reweighted = dataclasses.replace(tab, w=np.array([0.25, 0.75]))
+    assert reweighted.plan.weights == ((0, 0.5, 0.25), (1, 0.5, 0.75))
+    assert reweighted.plan.stages == tab.plan.stages
+    with pytest.raises(ValueError):
+        dataclasses.replace(tab, plan=tab.plan)
