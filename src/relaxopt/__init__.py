@@ -12,8 +12,9 @@ from .forward import (DivergenceError, Trajectory, imex_step, solve_forward,
 from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
                       adjoint_step_ark, adjoint_step_xi, adjoint_step_zeta,
                       solve_adjoint, assemble_gradient, export_gradient)
-from .optimize import (ControlProblem, OptimizerReport, cost, reduced_cost,
-                       fd_gradient, steepest_descent, alpha_sweep, export_trace)
+from .optimize import (ControlProblem, OptimizerReport, SubcharacteristicError, cost,
+                       reduced_cost, fd_gradient, steepest_descent, alpha_sweep,
+                       export_trace)
 from .studies import (OrderStudyResult, TrackingTableRow, GradientReport,
                       fit_order, temporal_order_study, tracking_problem, tracking_table,
                       gradient_report, export_order_study,

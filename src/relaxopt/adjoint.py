@@ -13,11 +13,16 @@ Each backward stage inverts the same scalar-linear implicit relation as the
 forward solver, in closed form.  The transport transpose reuses the stored
 forward stage states, which also freeze the limiter choices of the
 second-order scheme.  A step keeps only the costate it returns; its
-per-stage variables are dropped when the step ends.
+per-stage variables are dropped when the step ends, and the sweep keeps only
+the time-zero costate that the gradient reads.
 
 The ark step reads its coefficient differences from AdjointCoeffs.plan and
 its weights and implicit diagonal from ImexTableau.plan, both built once,
-so a step does no numpy-scalar arithmetic and builds no term lists.  It is
+so a step does no numpy-scalar arithmetic and builds no term lists.  It
+computes only the q part of each stage costate, the one part the source
+transpose (f'(U) q / eps, -q / eps) reads, stores that source's second
+component as q / eps and puts its sign on the coefficients, and wraps the
+costate it returns without re-validating it (core._pair).  It is
 bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import FluxModel, RelaxState
+from .core import FluxModel, RelaxState, _pair
 from .forward import Trajectory, _accumulate
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
@@ -58,11 +63,12 @@ class CostateState:
 class AdjointSweepRecord:
     """Backward sweep output mirroring the forward Trajectory's indexing.
 
-    costates[n] corresponds to times[n], for all n_steps + 1 times;
-    assemble_gradient reads costates[0].  stage_costates_tilde and
-    stage_costates are always empty lists: the sweep stores no per-stage
-    variables.  They stay fields so that code taking their len() (the
-    benchmark's record byte count) keeps working.
+    costates holds one costate, the one at times[0] that assemble_gradient
+    reads; the sweep drops every later costate once the step before it is
+    done.  stage_costates_tilde and stage_costates are always empty lists:
+    the sweep stores no per-stage variables.  All three stay lists so that
+    code taking their len() (the benchmark's record byte count) keeps
+    working.
     """
 
     costates: List[CostateState]
@@ -106,12 +112,18 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
     coefficients come from coeffs.plan and tab.plan.  Each combination starts
     from p_next and adds its terms left to right (forward._accumulate), so
     p_next is never written.
+
+    The source transpose reads only the q part of a stage costate, so the p
+    part is never formed.  src[j] holds (f'(U_j) q_j / eps, q_j / eps): the
+    second component is stored without its minus sign, and every term that
+    reads it negates its coefficient instead, which IEEE arithmetic rounds
+    identically.
     """
     s = tab.s
     p, q = p_next.p, p_next.q
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
     trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
-    src = [None] * s     # source contributions of the stage costates
+    src = [None] * s     # source contributions of the stage costates, q part unsigned
     for i, coupled, trans_terms, src_terms in coeffs.plan:
         acc_p, acc_q = p, q
         for j, cf_t, cf_s in coupled:
@@ -122,22 +134,17 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
             if cf_s:   # cf_s = (w_j / wt_i) * a_tilde[j, i]
                 c = h * cf_s
                 acc_p = _accumulate(acc_p, p, c * src[j][0])
-                acc_q = _accumulate(acc_q, q, c * src[j][1])
+                acc_q = _accumulate(acc_q, q, -c * src[j][1])
         trans[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
 
-        b_p, b_q = p, q
+        b_q = q
         for j, cf in trans_terms:   # cf = (wt_j / w_i) * a_impl[j, i]
-            c = -h * cf
-            b_p = _accumulate(b_p, p, c * trans[j][0])
-            b_q = _accumulate(b_q, q, c * trans[j][1])
+            b_q = _accumulate(b_q, q, (-h * cf) * trans[j][1])
         for j, cf in src_terms:     # cf = (w_j / w_i) * a_impl[j, i]
-            c = h * cf
-            b_p = _accumulate(b_p, p, c * src[j][0])
-            b_q = _accumulate(b_q, q, c * src[j][1])
+            b_q = _accumulate(b_q, q, -(h * cf) * src[j][1])
         k = h * tab.plan.stages[i][1] / eps
         pq = b_q / (1.0 + k)
-        pp = b_p + k * fprime[i] * pq
-        src[i] = _source_transpose(fprime[i], eps, pp, pq)
+        src[i] = (fprime[i] * pq / eps, pq / eps)
 
     out_p, out_q = p, q
     for i, wt, w in tab.plan.weights:   # the ark form has every weight nonzero
@@ -146,8 +153,8 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
         out_q = _accumulate(out_q, q, c * trans[i][1])
         c = h * w
         out_p = _accumulate(out_p, p, c * src[i][0])
-        out_q = _accumulate(out_q, q, c * src[i][1])
-    return CostateState(out_p, out_q)
+        out_q = _accumulate(out_q, q, -c * src[i][1])
+    return _pair(CostateState, out_p, out_q)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
@@ -247,8 +254,6 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
             form_used = "xi"
 
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
-    costates: List[Optional[CostateState]] = [None] * (n_steps + 1)
-    costates[n_steps] = p
     for n in reversed(range(n_steps)):
         h = float(traj.dts[n])
         if form_used == "ark":
@@ -257,8 +262,7 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
         else:
             p = _STEPPERS[form_used](traj.tab, traj.op, traj.model,
                                      traj.epsilon, traj.stages[n], p, h)
-        costates[n] = p
-    return AdjointSweepRecord(costates=costates, stage_costates_tilde=[],
+    return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 
 

@@ -26,7 +26,7 @@ from .tableau import (ImexTableau, TableauParseError, builtin_tableau,
 from .spatial import apply_dx_linearized, apply_dx_transpose
 from .forward import DivergenceError, solve_forward, export_trajectory
 from .adjoint import FORMS, solve_adjoint, assemble_gradient
-from .optimize import ControlProblem, steepest_descent, export_trace
+from .optimize import ControlProblem, SubcharacteristicError, steepest_descent, export_trace
 from .studies import (_default_u0, gradient_report, temporal_order_study,
                       tracking_problem, tracking_table, export_order_study,
                       export_tracking_table)
@@ -369,7 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
+    except (DivergenceError, SubcharacteristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

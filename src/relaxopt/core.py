@@ -126,6 +126,21 @@ class RelaxState:
         return RelaxState(self.u.copy(), self.v.copy())
 
 
+def _pair(cls, first: np.ndarray, second: np.ndarray):
+    """cls(first, second) for a two-field array dataclass, without __post_init__.
+
+    For RelaxState and CostateState built from arrays made in the calling
+    function: float64, 1-D and of equal length by construction, so the
+    validation would repeat what the caller just did.  Public construction
+    still validates.
+    """
+    obj = object.__new__(cls)
+    x, y = cls.__match_args__
+    setattr(obj, x, first)
+    setattr(obj, y, second)
+    return obj
+
+
 @dataclass(frozen=True)
 class RelaxConfig:
     """Relaxation parameters: rate epsilon, speed selection knobs, optional fixed speed.

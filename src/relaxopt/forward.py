@@ -13,19 +13,24 @@ is a test oracle (tests/oracles.py), not library code.
 A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
 built once with the pair: the nonzero entries as Python floats, so a step
 neither slices the coefficient arrays nor compares numpy scalars with zero.
-Finite values are checked once per step, on the result; a failure names the
-first non-finite stage (see DivergenceError).  Both keep every element's
-floating-point operations and their order, so results are bit-identical to
-the per-stage formulation kept in tests/oracles.py.
+Finite values are checked once per step, on the result, with one sum per
+field; only a non-finite sum pays for the elementwise scan, and a failure
+names the first non-finite stage (see DivergenceError).  The stage states
+and the result are built without re-validating arrays the step just made
+(core._pair), and solve_forward enters np.errstate once per solve, not once
+per step.  None of this touches an element's floating-point operations or
+their order, so results are bit-identical to the per-stage formulation kept
+in tests/oracles.py.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .core import FluxModel, Grid, RelaxState, relax_init, subchar_speed
+from .core import FluxModel, Grid, RelaxState, _pair, relax_init, subchar_speed
 from .spatial import SpatialOp, apply_dx
 from .tableau import ImexTableau
 
@@ -132,31 +137,38 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     non-finite entry, DivergenceError names step_index and the first stage
     whose u or v is non-finite, or stage s-1 when every stage is finite.  A
     non-finite stage that enters the result only through zero coefficients
-    goes unreported.
+    goes unreported.  The check sums each field and scans the elements only
+    when that sum is not finite, so a finite state whose sum overflows
+    passes.
+
+    A bare call does not silence numpy's floating-point warnings; overflow
+    in a step warns unless the caller is inside np.errstate, as
+    solve_forward's step loop is.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
-    # overflow is reported through DivergenceError, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms, diag in tab.plan.stages:
-            ru, rv = _combine(u, v, h, terms, trans_u, trans_v, source)
-            src = np.asarray(model.flux(ru), float) - rv
-            src /= eps + h * diag
-            stage = RelaxState(ru, rv + (h * diag) * src)
-            stages.append(stage)
-            g = apply_dx(op, stage)
-            trans_u.append(g.u)
-            trans_v.append(g.v)
-            source.append(src)
-        u1, v1 = _combine(u, v, h, tab.plan.weights, trans_u, trans_v, source)
-        if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
-            bad = (i for i, st in enumerate(stages)
-                   if not (np.isfinite(st.u).all() and np.isfinite(st.v).all()))
-            raise DivergenceError(step_index, next(bad, tab.s - 1))
-    return RelaxState(u1, v1), stages
+    for terms, diag in tab.plan.stages:
+        ru, rv = _combine(u, v, h, terms, trans_u, trans_v, source)
+        src = np.asarray(model.flux(ru), float) - rv
+        src /= eps + h * diag
+        stage = _pair(RelaxState, ru, rv + (h * diag) * src)
+        stages.append(stage)
+        g = apply_dx(op, stage)
+        trans_u.append(g.u)
+        trans_v.append(g.v)
+        source.append(src)
+    u1, v1 = _combine(u, v, h, tab.plan.weights, trans_u, trans_v, source)
+    if not math.isfinite(float(u1.sum()) + float(v1.sum())) and not _finite(u1, v1):
+        bad = (i for i, st in enumerate(stages) if not _finite(st.u, st.v))
+        raise DivergenceError(step_index, next(bad, tab.s - 1))
+    return _pair(RelaxState, u1, v1), stages
+
+
+def _finite(u, v) -> bool:
+    return bool(np.isfinite(u).all() and np.isfinite(v).all())
 
 
 def _plan_steps(t_final: float, h: float) -> np.ndarray:
@@ -222,18 +234,20 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
     y = relax_init(u0, model)
     steps = [y]
     stages: List[List[RelaxState]] = []
-    for n, hn in enumerate(dts):
-        try:
-            y, stage_states = imex_step(tab, op, model, relax.epsilon, y, float(hn),
-                                        step_index=n)
-        except DivergenceError as err:
-            # imex_step knows the step index, not the time; add the step's start time
-            raise DivergenceError(err.step, err.stage, float(times[n])) from None
-        if store_stages:
-            steps.append(y)
-            stages.append(stage_states)
-        else:
-            steps[0] = y
+    # overflow is reported through DivergenceError, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, hn in enumerate(dts):
+            try:
+                y, stage_states = imex_step(tab, op, model, relax.epsilon, y, float(hn),
+                                            step_index=n)
+            except DivergenceError as err:
+                # imex_step knows the step index, not the time; add the step's start time
+                raise DivergenceError(err.step, err.stage, float(times[n])) from None
+            if store_stages:
+                steps.append(y)
+                stages.append(stage_states)
+            else:
+                steps[0] = y
     return Trajectory(times=times, steps=steps, stages=stages, h=h,
                       epsilon=relax.epsilon, dts=dts, tab=tab, op=op, model=model)
 

@@ -54,6 +54,25 @@ class ControlProblem:
         return builtin_tableau(self.tableau)
 
 
+class SubcharacteristicError(RuntimeError):
+    """A descent iterate breaks the sub-characteristic condition of the frozen speed.
+
+    steepest_descent raises it before the forward solve of an iterate whose
+    margin max_i |f'(u0_i)| / a exceeds 1: the frozen speed a no longer
+    dominates the iterate's characteristic speeds, so the relaxation
+    approximation has lost its stability requirement.  `iteration` counts the
+    control updates made before that iterate.
+    """
+
+    def __init__(self, iteration: int, margin: float, a: float):
+        self.iteration = iteration
+        self.margin = margin
+        self.a = a
+        super().__init__(
+            f"descent iterate {iteration} breaks the sub-characteristic condition: "
+            f"max|f'(u)|/a = {margin:.6g} > 1 with frozen a = {a:.6g}")
+
+
 @dataclass
 class OptimizerReport:
     """Descent run summary; cost_history[k] is the cost after k control updates."""
@@ -133,6 +152,9 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     being minimized would itself drift; in practice that drift destabilizes
     the late iterations on fine grids.  Set relax.a explicitly if the
     iterates may travel outside the speed range spanned by those two fields.
+    An iterate whose characteristic speeds exceed the frozen speed
+    (max|f'(u0)|/a > 1) raises SubcharacteristicError before its forward
+    solve runs.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -147,6 +169,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
         a = max(subchar_speed(problem.model, u0, problem.relax),
                 subchar_speed(problem.model, problem.u_d, problem.relax))
         problem = replace(problem, relax=replace(problem.relax, a=a))
+    a = problem.relax.a
 
     t_start = time.perf_counter()
     costs: List[float] = []
@@ -154,6 +177,9 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     iter_times: List[float] = []
     iterations = 0
     while True:
+        margin = float(np.max(np.abs(np.asarray(problem.model.flux_deriv(u0), float)))) / a
+        if margin > 1.0:
+            raise SubcharacteristicError(iterations, margin, a)
         traj = solve_forward(problem, tab, u0, store_stages=True)
         costs.append(cost(traj.steps[-1].u, problem.u_d, dx))
         if costs[-1] < tol or iterations >= max_iter:

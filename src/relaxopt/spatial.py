@@ -27,7 +27,8 @@ fm_bar = vf_bar/2 - uf_bar/(2a), which IEEE arithmetic rounds exactly as
 (-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same floating-point
 operations in the same order as the `roll` formulas, so the results are
 bit-identical to them; the test-only reference in tests/oracles.py checks
-that with `np.array_equal`.
+that with `np.array_equal`.  `apply_dx` and `apply_dx_transpose` wrap their
+own output arrays without re-validating them (core._pair).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, RelaxState
+from .core import Grid, RelaxState, _pair
 
 SCHEMES = ("upwind1", "muscl2")
 
@@ -171,7 +172,7 @@ def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     _check_state(op, u, v)
     fp, fm = _face_values(op, u, v)
     out_u, out_v = _divergence(op, fp, fm)
-    return RelaxState(out_u, out_v)
+    return _pair(RelaxState, out_u, out_v)
 
 
 def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> RelaxState:
@@ -259,4 +260,4 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = No
     out_u = wp_bar - wm_bar
     out_u *= a
     wm_bar += wp_bar
-    return RelaxState(out_u, wm_bar)
+    return _pair(RelaxState, out_u, wm_bar)

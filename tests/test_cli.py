@@ -98,6 +98,12 @@ def test_divergent_run_exit_code(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a descent iterate that outruns the frozen speed exits 2 before any NaN
+    rc = main(["optimize", "--n-cells", "300", "--alpha", "0.9",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sub-characteristic" in err
 
 
 def test_order_study_subcommand(tmp_path, capsys):

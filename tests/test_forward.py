@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from relaxopt import forward
 from relaxopt.core import (FluxModel, RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init, subchar_speed)
 from relaxopt.forward import (DivergenceError, imex_step, solve_forward,
                               export_trajectory, _plan_steps)
-from relaxopt.spatial import SpatialOp
+from relaxopt.spatial import SpatialOp, apply_dx
 from relaxopt.tableau import builtin_names, builtin_tableau
 
 from oracles import imex_step_kform, ref_imex_step
@@ -343,8 +345,10 @@ def test_bare_imex_step_reports_given_step_index(name):
 
 
 def _divergence_of(step, *args):
+    # a bare step warns on overflow; solve_forward is what silences that
     try:
-        step(*args, step_index=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(*args, step_index=3)
     except DivergenceError as err:
         return err.step, err.stage
     return None
@@ -368,6 +372,58 @@ def test_step_check_names_the_stage_the_stage_checks_named():
                 assert got == _divergence_of(ref_imex_step, *args), (name, scheme, h)
                 seen.add(None if got is None else got[1] == tab.s - 1)
     assert seen == {None, True, False}
+
+
+def _poisoned_apply_dx(call, field, cell, value):
+    """apply_dx whose output on call `call` (0-based) holds `value` at one cell of `field`."""
+    calls = [0]
+
+    def poisoned(op, state):
+        out = apply_dx(op, state)
+        if calls[0] == call:
+            getattr(out, field)[cell] = value
+        calls[0] += 1
+        return out
+    return poisoned
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_step_check_catches_one_non_finite_entry_of_the_update(monkeypatch, value):
+    # the value enters stage j's transport increment at a seeded cell of u or
+    # v; j has a nonzero explicit weight, so the update is non-finite there,
+    # and the step must name the stage the per-stage reference names
+    g, model, u0, cfg = _setup(n=40, a=1.8)
+    y = RelaxState(u0, model.flux(u0))
+    rng = np.random.default_rng(21)
+    for name in builtin_names():
+        tab = builtin_tableau(name)
+        for j in np.flatnonzero(tab.w_tilde):
+            for field in ("u", "v"):
+                cell = int(rng.integers(g.n_cells))
+                got = []
+                for module, step in ((forward, imex_step), (oracles, ref_imex_step)):
+                    monkeypatch.setattr(module, "apply_dx",
+                                        _poisoned_apply_dx(j, field, cell, value))
+                    got.append(_divergence_of(step, tab, SpatialOp(g, 1.8), model,
+                                              cfg.epsilon, y, 0.5 * g.dx / 1.8))
+                assert got[0] is not None and got[0] == got[1], (name, j, field, cell)
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+def test_finite_state_whose_sum_overflows_is_not_divergent(scheme):
+    # a linear flux at equilibrium is a fixed point of every step; with every
+    # cell at 1e308 each field's sum overflows, which alone must not raise
+    g = make_grid(0.0, 2.0 * np.pi, 40)
+    model = advection_model(0.5)
+    u0 = np.full(g.n_cells, 1e308)
+    assert g.n_cells * 1e308 == np.inf
+    for name in builtin_names():
+        prob = Problem(g, model, RelaxConfig(epsilon=1e-6, a=0.6), t_final=0.5,
+                       scheme=scheme)
+        traj = solve_forward(prob, builtin_tableau(name), u0)
+        assert traj.n_steps >= 2
+        assert np.array_equal(traj.steps[-1].u, u0), name
+        assert np.array_equal(traj.steps[-1].v, model.flux(u0)), name
 
 
 def test_solve_forward_validates_inputs():

@@ -6,8 +6,8 @@ import pytest
 from relaxopt.core import RelaxConfig, burgers_model, make_grid, subchar_speed
 from relaxopt.adjoint import assemble_gradient, solve_adjoint
 from relaxopt.forward import solve_forward
-from relaxopt.optimize import (ControlProblem, alpha_sweep, cost, export_trace,
-                               fd_gradient, reduced_cost, steepest_descent,
+from relaxopt.optimize import (ControlProblem, SubcharacteristicError, alpha_sweep, cost,
+                               export_trace, fd_gradient, reduced_cost, steepest_descent,
                                _frozen_speed_problem)
 
 
@@ -139,6 +139,19 @@ def test_descent_validates_parameters():
         steepest_descent(prob, start, tol=0.0)
     with pytest.raises(ValueError):
         steepest_descent(prob, start, max_iter=-1)
+
+
+def test_descent_stops_when_an_iterate_outruns_the_frozen_speed():
+    # alpha = 0.9 at N=300 overshoots: iterate 5 is the first whose speeds
+    # exceed the frozen a (1.2 times the generating profile's top speed),
+    # twelve iterations before a solve would turn non-finite
+    prob = _tracking_problem(300)
+    with pytest.raises(SubcharacteristicError) as err:
+        steepest_descent(prob, np.full(300, 0.5), alpha=0.9)
+    assert err.value.iteration == 5
+    assert err.value.margin == pytest.approx(1.0011, abs=5e-5)
+    assert err.value.a == prob.relax.a
+    assert "iterate 5" in str(err.value) and f"a = {prob.relax.a:.6g}" in str(err.value)
 
 
 def test_control_problem_validation():
