@@ -7,7 +7,7 @@ from .tableau import (ImexTableau, AdjointCoeffs, OrderReport, ZeroWeightError,
                       TableauParseError, make_imex_tableau, adjoint_coeffs,
                       check_order, builtin_tableau, builtin_names, load_tableau_file)
 from .spatial import SpatialOp, minmod, apply_dx, apply_dx_linearized, apply_dx_transpose
-from .forward import (DivergenceError, Trajectory, imex_step, solve_forward,
+from .forward import (DivergenceError, StoredStage, Trajectory, imex_step, solve_forward,
                       export_trajectory)
 from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
                       adjoint_step_ark, adjoint_step_xi, adjoint_step_zeta,

@@ -11,33 +11,41 @@ assembled gradient is the exact gradient of the discrete objective:
 
 Each backward stage inverts the same scalar-linear implicit relation as the
 forward solver, in closed form.  The transport transpose reuses the stored
-forward stage states, which also freeze the limiter choices of the
-second-order scheme.  A step keeps only the costate it returns; its
-per-stage variables are dropped when the step ends, and the sweep keeps only
-the time-zero costate that the gradient reads.
+forward stages, which also freeze the limiter choices of the second-order
+scheme.  A stepper reads a stage only through its u (for f'(U) in the source
+transpose) and passes the stage on as the base of apply_dx_transpose, so
+the RelaxState stages of a bare imex_step and the StoredStage entries of a
+full record, which keep no v under the linear upwind1 operator, work alike.
+A step keeps only the costate it returns; its per-stage variables are
+dropped when the step ends, and the sweep keeps only the time-zero costate
+that the gradient reads.  The source transpose reads only the q part of a
+stage costate, so no form computes the p part, and the transport transpose
+wraps the stepper's own sums without re-validating them (core._pair).
 
 The ark step reads its coefficient differences from AdjointCoeffs.plan and
 its weights and implicit diagonal from ImexTableau.plan, both built once,
 so a step does no numpy-scalar arithmetic and builds no term lists.  It
-computes only the q part of each stage costate, the one part the source
-transpose (f'(U) q / eps, -q / eps) reads, stores that source's second
-component as q / eps and puts its sign on the coefficients, and wraps the
-costate it returns without re-validating it (core._pair).  It is
-bit-identical to the array-indexing version kept in tests/oracles.py.
+stores the source's second component as q / eps and puts its sign on the
+coefficients, and wraps the costate it returns without re-validating it.
+It is bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .core import FluxModel, RelaxState, _pair
-from .forward import Trajectory, _accumulate
+from .forward import StoredStage, Trajectory, _accumulate
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
 
 FORMS = ("ark", "xi", "zeta")
+
+# A step's stages, as imex_step returns them or as a full record stores them:
+# the steppers read each stage's u and pass the stage on as the transpose's base.
+Stage = Union[RelaxState, StoredStage]
 
 
 @dataclass
@@ -91,19 +99,27 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> CostateStat
     return CostateState(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
-def _transport_transpose(op: SpatialOp, p, q, base: RelaxState):
-    """Spatial transpose D^T (p, q); the transport term contributes its negative."""
-    out = apply_dx_transpose(op, RelaxState(p, q), base)
+def _transport_transpose(op: SpatialOp, p, q, base: Stage):
+    """Spatial transpose D^T (p, q) at stage `base`; transport contributes its negative.
+
+    p and q are the stepper's own sums or the parts of p_next, a costate
+    the library built or validated, so they are wrapped without
+    re-validation (core._pair).
+    """
+    out = apply_dx_transpose(op, _pair(RelaxState, p, q), base)
     return out.u, out.v
 
 
-def _source_transpose(fprime, eps, p, q):
-    """Costate contribution of the stiff source: (f'(U) q / eps, -q / eps)."""
+def _source_transpose(fprime, eps, q):
+    """Costate contribution of the stiff source: (f'(U) q / eps, -q / eps).
+
+    It reads only the q part of a stage costate, so no stepper forms the p part.
+    """
     return fprime * q / eps, -q / eps
 
 
 def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
-                     model: FluxModel, eps: float, stages: List[RelaxState],
+                     model: FluxModel, eps: float, stages: List[Stage],
                      p_next: CostateState, h: float) -> CostateState:
     """One backward step in stage-costate form; returns p_n.
 
@@ -158,11 +174,12 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    stages: List[RelaxState], p_next: CostateState, h: float) -> CostateState:
+                    stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
     """One backward step in scaled-variable form; defined for any weights.
 
     When all weights are nonzero its tilde stage variables equal h * w_tilde_i
-    times the stage costates of the ark form.
+    times the stage costates of the ark form.  Only the q part of the
+    non-tilde stage variable is formed: the source transpose reads no other.
     """
     s = tab.s
     at, ai = tab.a_tilde, tab.a_impl
@@ -180,16 +197,13 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
                 xt_q += (h * at[j, i]) * theta_q[j]
         t_p, t_q = _transport_transpose(op, xt_p, xt_q, stages[i])
 
-        b_p = (h * tab.w[i]) * p_next.p - (h * ai[i, i]) * t_p
         b_q = (h * tab.w[i]) * p_next.q - (h * ai[i, i]) * t_q
         for j in range(i + 1, s):
             if ai[j, i] != 0.0:
-                b_p += (h * ai[j, i]) * theta_p[j]
                 b_q += (h * ai[j, i]) * theta_q[j]
         k = h * ai[i, i] / eps
         xi_q = b_q / (1.0 + k)
-        xi_p = b_p + k * fprime[i] * xi_q
-        s_p, s_q = _source_transpose(fprime[i], eps, xi_p, xi_q)
+        s_p, s_q = _source_transpose(fprime[i], eps, xi_q)
         theta_p[i] = s_p - t_p
         theta_q[i] = s_q - t_q
         sum_p += theta_p[i]
@@ -198,8 +212,12 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
 
 
 def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                      stages: List[RelaxState], p_next: CostateState, h: float) -> CostateState:
-    """One backward step in increment form; defined for any weights."""
+                      stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
+    """One backward step in increment form; defined for any weights.
+
+    The implicit-weight combination is formed for q only, the one part the
+    source transpose reads.
+    """
     s = tab.s
     at, ai = tab.a_tilde, tab.a_impl
     fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
@@ -208,17 +226,15 @@ def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: fl
     for i in reversed(range(s)):
         gt_p = tab.w_tilde[i] * p_next.p
         gt_q = tab.w_tilde[i] * p_next.q
-        gi_p = tab.w[i] * p_next.p
         gi_q = tab.w[i] * p_next.q
         for j in range(i + 1, s):
             if at[j, i] != 0.0:
                 gt_p += at[j, i] * z_p[j]
                 gt_q += at[j, i] * z_q[j]
             if ai[j, i] != 0.0:
-                gi_p += ai[j, i] * z_p[j]
                 gi_q += ai[j, i] * z_q[j]
         t_p, t_q = _transport_transpose(op, gt_p, gt_q, stages[i])
-        s_p, s_q = _source_transpose(fprime[i], eps, gi_p, gi_q)
+        s_p, s_q = _source_transpose(fprime[i], eps, gi_q)
         k_p = h * (s_p - t_p)
         k_q = h * (s_q - t_q)
         k = h * ai[i, i] / eps

@@ -130,9 +130,11 @@ def _pair(cls, first: np.ndarray, second: np.ndarray):
     """cls(first, second) for a two-field array dataclass, without __post_init__.
 
     For RelaxState and CostateState built from arrays made in the calling
-    function: float64, 1-D and of equal length by construction, so the
-    validation would repeat what the caller just did.  Public construction
-    still validates.
+    function, or handed to it by a caller that made them or took them from
+    a state the library built or validated (adjoint._transport_transpose
+    wraps a stepper's costate sums or the parts of p_next): float64, 1-D and
+    of equal length by construction, so the validation would repeat what was
+    already done.  Public construction still validates.
     """
     obj = object.__new__(cls)
     x, y = cls.__match_args__

@@ -53,14 +53,32 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite state at step {step}, stage {stage}{at}")
 
 
+@dataclass(slots=True)
+class StoredStage:
+    """A forward stage as a full record keeps it: its u, and its v only where it is read.
+
+    The adjoint sweep reads a stored stage's u, for f'(U) in the source
+    transpose, and passes the stage to apply_dx_transpose as its base, which
+    reads u and v only when the transport operator is not linear (muscl2).
+    So v is kept when not op.linear and is None under upwind1.
+    """
+
+    u: np.ndarray
+    v: Optional[np.ndarray] = None
+
+
 @dataclass
 class Trajectory:
     """Forward solve record: step states, per-step stage states, and solve metadata.
 
     A full record (store_stages=True) has steps[n] at times[n] for every n,
-    and stages[n] holds the s stage states used to advance from steps[n] to
-    steps[n+1]; the adjoint sweep and export_trajectory need it.  A
-    final-only record (store_stages=False) has steps == [y_T] and
+    and stages[n] holds the s stages (StoredStage) used to advance from
+    steps[n] to steps[n+1]; the adjoint sweep and export_trajectory need it.
+    A stored stage keeps its v only when op is not linear (muscl2), where
+    the transport transpose reads it; under upwind1 the record keeps each
+    stage's u alone.  Stage 0 takes no terms, so its u is steps[n]'s own
+    array, and a one-stage (imex-euler) record keeps no stage array at all.
+    A final-only record (store_stages=False) has steps == [y_T] and
     stages == [].  Either way steps[-1] is the state at times[-1] = t_final
     and n_steps counts the steps taken.  dts[n] = times[n+1] - times[n] is
     kept explicitly so the backward sweep reuses the exact forward step
@@ -69,7 +87,7 @@ class Trajectory:
 
     times: np.ndarray
     steps: List[RelaxState]
-    stages: List[List[RelaxState]]
+    stages: List[List[StoredStage]]
     h: float
     epsilon: float
     dts: np.ndarray
@@ -201,9 +219,10 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
     start of that step.
 
     With store_stages=True the trajectory keeps every step state and every
-    stage, which solve_adjoint and export_trajectory need.  With
-    store_stages=False it keeps only the final state (steps == [y_T]), so
-    its memory does not grow with the number of steps.
+    stage, which solve_adjoint and export_trajectory need; a stage keeps
+    only what the adjoint reads (StoredStage: its u, and its v unless
+    op.linear).  With store_stages=False it keeps only the final state
+    (steps == [y_T]), so its memory does not grow with the number of steps.
     """
     grid: Grid = problem.grid
     model: FluxModel = problem.model
@@ -233,7 +252,8 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
         raise AssertionError("step planning failed to land on t_final")
     y = relax_init(u0, model)
     steps = [y]
-    stages: List[List[RelaxState]] = []
+    stages: List[List[StoredStage]] = []
+    keep_v = not op.linear   # only a nonlinear transport transpose reads a stage's v
     # overflow is reported through DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n, hn in enumerate(dts):
@@ -245,7 +265,8 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
                 raise DivergenceError(err.step, err.stage, float(times[n])) from None
             if store_stages:
                 steps.append(y)
-                stages.append(stage_states)
+                stages.append([StoredStage(st.u, st.v if keep_v else None)
+                               for st in stage_states])
             else:
                 steps[0] = y
     return Trajectory(times=times, steps=steps, stages=stages, h=h,

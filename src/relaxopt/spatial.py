@@ -15,6 +15,9 @@ equation is y' = -D_x g(y) + source).
 The transpose used by the adjoint sweep is the exact linear-algebraic
 transpose of this map; for the limited second-order scheme it transposes the
 linearization with the limiter choices frozen at a given base state.
+SpatialOp.linear says which case applies: under upwind1 neither the
+transpose nor the linearization reads a base state, so a stored forward
+record need not keep the stage v that only a base would supply.
 
 Periodic neighbours come from slice helpers, each filling one
 `np.empty_like` buffer: `_prev` (x[i-1]), `_next` (x[i+1]), `_back_diff`
@@ -57,6 +60,15 @@ class SpatialOp:
             raise ValueError(f"unknown limiter '{self.limiter}'; available: minmod")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
+
+    @property
+    def linear(self) -> bool:
+        """Whether apply_dx is linear in the state (upwind1).
+
+        Its transpose and linearization then read no base state; muscl2's
+        limiter branches depend on the state, so they need one.
+        """
+        return self.scheme == "upwind1"
 
 
 def _prev(x):
@@ -183,7 +195,7 @@ def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> R
     exact Jacobian-vector product of the piecewise-linear map.
     """
     _check_state(op, delta.u, delta.v)
-    if op.scheme == "upwind1":
+    if op.linear:
         return apply_dx(op, delta)
     _check_state(op, base.u, base.v)
     fp_masks, fm_masks = _limiter_masks(op, base)
@@ -220,13 +232,15 @@ def _slope_transpose(sbar, masks):
     return _fwd_diff(dbar)
 
 
-def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = None) -> RelaxState:
+def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxState:
     """Exact transpose of apply_dx (upwind1) or of its frozen linearization (muscl2).
 
-    `base` supplies the linearization state for muscl2 and is ignored for
-    upwind1.  Satisfies <apply_dx(z), w> == <z, apply_dx_transpose(w)> for all
-    field pairs, with apply_dx replaced by apply_dx_linearized at `base` for
-    muscl2.
+    `base` supplies the linearization state for muscl2: any object with u and
+    v fields, such as a RelaxState or a forward.StoredStage.  It is not read
+    when op.linear (upwind1), so it may be None there, or a stored stage
+    whose v is None.  Satisfies
+    <apply_dx(z), w> == <z, apply_dx_transpose(w)> for all field pairs, with
+    apply_dx replaced by apply_dx_linearized at `base` for muscl2.
     """
     zu, zv = costate.u, costate.v
     _check_state(op, zu, zv)
@@ -244,7 +258,7 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base: RelaxState = No
     fp_bar = t + half
     pre = _prev_sub(half, t)   # fm_bar[i-1]
 
-    if op.scheme == "upwind1":
+    if op.linear:
         wp_bar = fp_bar
         wm_bar = pre
     else:

@@ -132,11 +132,12 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
 
     The spatial grid is fixed and fine (forward part) so spatial error is
     common to all levels and cancels in the self-convergence differences; the
-    gradient part uses a coarser grid because every level must store all stage
-    values of the whole trajectory.  h is halved `levels` times starting from
-    the largest uniform step below the CFL bound, errors are max-norm
-    deviations from a reference computed at one quarter of the finest h, and
-    slopes come from a log-log least-squares fit.
+    gradient part uses a coarser grid because every level must store the
+    whole trajectory, with its stages, for the adjoint sweep.  h is halved
+    `levels` times starting from the largest uniform step below the CFL
+    bound, errors are max-norm deviations from a reference computed at one
+    quarter of the finest h, and slopes come from a log-log least-squares
+    fit.
 
     The template's epsilon is used as-is; order studies are meant to run in
     the resolved regime (epsilon = 1.0 in the shipped configuration) where the

@@ -280,11 +280,10 @@ def ref_adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
             cf_s = w[j] - coeffs.beta[i, j]           # = (w_j / w_i) * a_impl[j, i]
             if cf_s != 0.0:
                 terms.append((h * cf_s, src[j]))
-        b_p, b_q = _costate_lincomb(p_next, terms)
+        _, b_q = _costate_lincomb(p_next, terms)
         k = h * tab.a_impl[i, i] / eps
         pq = b_q / (1.0 + k)
-        pp = b_p + k * fprime[i] * pq
-        src[i] = _source_transpose(fprime[i], eps, pp, pq)
+        src[i] = _source_transpose(fprime[i], eps, pq)
 
     terms = []
     for i in range(s):

@@ -176,11 +176,15 @@ def test_three_forms_agree():
     assert np.max(np.abs(g_ark - g_xi)) <= 1e-12
 
 
-@pytest.mark.parametrize("form", ["ark", "xi", "zeta"])
-def test_sweep_record_keeps_costates_only(form):
+# an id without a scheme suffix is the muscl2 case
+@pytest.mark.parametrize("form, scheme",
+                         [pytest.param(f, "muscl2", id=f) for f in ("ark", "xi", "zeta")]
+                         + [pytest.param(f, "upwind1", id=f"{f}-upwind1")
+                            for f in ("ark", "xi", "zeta")])
+def test_sweep_record_keeps_costates_only(form, scheme):
     prob, u0 = _tracking_setup(n=24, tableau="ars-222")
     tab = prob.resolve_tableau()
-    traj = solve_forward(dataclasses.replace(prob, scheme="muscl2"), tab, u0)
+    traj = solve_forward(dataclasses.replace(prob, scheme=scheme), tab, u0)
     kept = [np.concatenate([st.u, st.v]) for st in traj.steps]
     rec = solve_adjoint(traj, prob.u_d, form=form)
     assert len(rec.costates) == 1   # the time-0 costate, all the gradient reads

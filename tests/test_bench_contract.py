@@ -3,7 +3,9 @@
 The benchmark reads adjoint.FORMS into its gradcheck gate line and swaps
 studies._default_u0 to seed the tracking workload's generating profile, so
 a refactor that binds either one early breaks the benchmark, not the
-library's own tests.
+library's own tests.  Its meter also keeps the last trajectory whose
+`stages` is truthy, counts `s` entries per step of it, and sweeps every
+form over it, so a stored record must keep that shape under every scheme.
 """
 import json
 import subprocess
@@ -13,8 +15,10 @@ from pathlib import Path
 import numpy as np
 
 import relaxopt.studies as studies
+from relaxopt import adjoint
 from relaxopt.core import RelaxConfig, burgers_model, make_grid
-from relaxopt.optimize import ControlProblem
+from relaxopt.forward import solve_forward
+from relaxopt.optimize import ControlProblem, _frozen_speed_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +49,21 @@ def test_tracking_table_looks_up_the_generating_profile_per_grid(monkeypatch):
                               u_d=np.zeros(16), tableau="imex-euler")
     studies.tracking_table(template, [24], max_iter=0)
     assert calls == [24]
+
+
+def test_stored_linear_record_keeps_its_shape_and_every_form_sweeps_it():
+    g = make_grid(0.0, 2.0 * np.pi, 32)
+    problem = ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(epsilon=1.0),
+                             t_final=0.3, u_d=np.zeros(32), tableau="bpr-343",
+                             scheme="upwind1")
+    u0 = 0.5 + np.sin(g.centers)
+    frozen = _frozen_speed_problem(problem, u0)
+    tab = frozen.resolve_tableau()
+    traj = solve_forward(frozen, tab, u0, store_stages=True)
+    assert traj.stages
+    assert len(traj.stages) == traj.n_steps
+    assert all(len(st) == tab.s for st in traj.stages)
+    for form in adjoint.FORMS:
+        rec = adjoint.solve_adjoint(traj, frozen.u_d, form=form)
+        assert rec.form_used == form
+        assert np.all(np.isfinite(adjoint.assemble_gradient(rec, u0, frozen.model)))

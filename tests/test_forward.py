@@ -253,21 +253,56 @@ def test_final_only_solve_memory_does_not_grow_with_steps():
     assert peak < 1e6
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_full_record_replays_bitwise(name):
+# an id without a scheme suffix is the muscl2 case
+_RECORD_CASES = ([pytest.param(name, "muscl2", id=name) for name in builtin_names()]
+                 + [pytest.param(name, "upwind1", id=f"{name}-upwind1")
+                    for name in builtin_names()])
+
+
+@pytest.mark.parametrize("name, scheme", _RECORD_CASES)
+def test_full_record_replays_bitwise(name, scheme):
     # a stage combination that wrote into an array it shares with a stored
-    # step or stage state would change the record after the fact
+    # step or stage state would change the record after the fact; a stored
+    # stage keeps its v only where the transport transpose reads it (muscl2)
     eps = 1.0 if name == "bpr-343" else 1e-6
     g, model, u0, cfg = _setup(n=24, eps=eps)
-    prob = Problem(g, model, cfg, t_final=0.2, scheme="muscl2")
+    prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
     tab = builtin_tableau(name)
     traj = solve_forward(prob, tab, u0, store_stages=True)
+    assert traj.op.linear == (scheme == "upwind1")
     for n in range(traj.n_steps):
         y1, stages = imex_step(tab, traj.op, model, eps, traj.steps[n], float(traj.dts[n]))
         assert np.array_equal(y1.u, traj.steps[n + 1].u)
         assert np.array_equal(y1.v, traj.steps[n + 1].v)
+        assert len(traj.stages[n]) == tab.s
+        assert traj.stages[n][0].u is traj.steps[n].u   # stage 0 shares the step's u
         for got, kept in zip(stages, traj.stages[n]):
-            assert np.array_equal(got.u, kept.u) and np.array_equal(got.v, kept.v)
+            assert np.array_equal(got.u, kept.u)
+            if traj.op.linear:
+                assert kept.v is None
+            else:
+                assert np.array_equal(got.v, kept.v)
+
+
+def test_stored_linear_record_keeps_no_stage_v():
+    # bpr-343 under upwind1: per step the record keeps the step state (u, v)
+    # and the u of stages 1 and 2; the v of all three stages would add
+    # 3 * n * 8 B more per step
+    n = 256
+    g, model, u0, cfg = _setup(n=n, eps=1.0, a=1.8)
+    prob = Problem(g, model, cfg, t_final=1.0)
+    tab = builtin_tableau("bpr-343")
+    tracemalloc.start()
+    try:
+        traj = solve_forward(prob, tab, u0, store_stages=True)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = traj.n_steps
+    assert steps == 147
+    kept = ((steps + 1) * 2 + steps * (tab.s - 1)) * n * 8
+    with_v = kept + steps * tab.s * n * 8
+    assert held < kept + 0.25 * (with_v - kept)
 
 
 def test_relax_config_speed_override():
