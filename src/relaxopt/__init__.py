@@ -10,8 +10,8 @@ from .spatial import SpatialOp, minmod, apply_dx, apply_dx_linearized, apply_dx_
 from .forward import (DivergenceError, StoredStage, Trajectory, imex_step, solve_forward,
                       export_trajectory)
 from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
-                      adjoint_step_ark, adjoint_step_xi, adjoint_step_zeta,
-                      solve_adjoint, assemble_gradient, export_gradient)
+                      adjoint_step_ark, adjoint_step_xi, solve_adjoint,
+                      assemble_gradient, export_gradient)
 from .optimize import (ControlProblem, OptimizerReport, SubcharacteristicError, cost,
                        reduced_cost, fd_gradient, steepest_descent, alpha_sweep,
                        export_trace)

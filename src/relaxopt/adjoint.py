@@ -1,13 +1,16 @@
 """Backward costate sweeps for the discrete forward scheme, and gradient assembly.
 
-All three sweeps transpose the linearized forward step exactly, so the
-assembled gradient is the exact gradient of the discrete objective:
+solve_adjoint is the one sweep.  Its steps transpose the linearized forward
+step exactly, so the assembled gradient is the exact gradient of the
+discrete objective.  A step comes in one of two forms, chosen by the tableau:
 
 * ark: stage-costate form using the derived coefficient matrices; needs every
   tableau weight nonzero (default path).
 * xi: scaled-variable form that never divides by a weight (automatic fallback
   when the coefficient matrices are undefined).
-* zeta: increment form kept for cross-validation.
+
+The increment (zeta) form is a third, algebraically equal recursion; it is
+kept in tests/oracles.py as the oracle both forms are checked against.
 
 Each backward stage inverts the same scalar-linear implicit relation as the
 forward solver, in closed form.  The transport transpose reuses the stored
@@ -41,7 +44,7 @@ from .forward import StoredStage, Trajectory, _accumulate
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
 
-FORMS = ("ark", "xi", "zeta")
+FORMS = ("ark", "xi")
 
 # A step's stages, as imex_step returns them or as a full record stores them:
 # the steppers read each stage's u and pass the stage on as the transpose's base.
@@ -62,9 +65,6 @@ class CostateState:
             raise ValueError(
                 f"p and q must be 1-D fields of equal length, got {self.p.shape} and {self.q.shape}"
             )
-
-    def copy(self) -> "CostateState":
-        return CostateState(self.p.copy(), self.q.copy())
 
 
 @dataclass
@@ -211,49 +211,14 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
     return CostateState(p_next.p + sum_p, p_next.q + sum_q)
 
 
-def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                      stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
-    """One backward step in increment form; defined for any weights.
-
-    The implicit-weight combination is formed for q only, the one part the
-    source transpose reads.
-    """
-    s = tab.s
-    at, ai = tab.a_tilde, tab.a_impl
-    fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
-    z_p = [None] * s
-    z_q = [None] * s
-    for i in reversed(range(s)):
-        gt_p = tab.w_tilde[i] * p_next.p
-        gt_q = tab.w_tilde[i] * p_next.q
-        gi_q = tab.w[i] * p_next.q
-        for j in range(i + 1, s):
-            if at[j, i] != 0.0:
-                gt_p += at[j, i] * z_p[j]
-                gt_q += at[j, i] * z_q[j]
-            if ai[j, i] != 0.0:
-                gi_q += ai[j, i] * z_q[j]
-        t_p, t_q = _transport_transpose(op, gt_p, gt_q, stages[i])
-        s_p, s_q = _source_transpose(fprime[i], eps, gi_q)
-        k_p = h * (s_p - t_p)
-        k_q = h * (s_q - t_q)
-        k = h * ai[i, i] / eps
-        z_q[i] = k_q / (1.0 + k)
-        z_p[i] = k_p + k * fprime[i] * z_q[i]
-    out_p = p_next.p + sum(z_p)
-    out_q = p_next.q + sum(z_q)
-    return CostateState(out_p, out_q)
-
-
-_STEPPERS = {"xi": adjoint_step_xi, "zeta": adjoint_step_zeta}
-
-
 def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> AdjointSweepRecord:
     """Full backward sweep from the terminal costate to time zero.
 
-    form "ark" uses the coefficient-matrix sweep and falls back to "xi"
-    automatically when the tableau has a zero weight; "xi" and "zeta" run
-    those forms directly.  The trajectory must have been stored with stages.
+    form "ark", the default, uses the coefficient-matrix step and falls back
+    to "xi" automatically when the tableau has a zero weight; form_used
+    names the step that ran.  form "xi" runs the xi step on any tableau, for
+    checks that compare the two.  The trajectory must have been stored with
+    stages.
     """
     if form not in FORMS:
         raise ValueError(f"unknown adjoint form '{form}'; available: {', '.join(FORMS)}")
@@ -276,8 +241,8 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
             p = adjoint_step_ark(coeffs, traj.tab, traj.op, traj.model,
                                  traj.epsilon, traj.stages[n], p, h)
         else:
-            p = _STEPPERS[form_used](traj.tab, traj.op, traj.model,
-                                     traj.epsilon, traj.stages[n], p, h)
+            p = adjoint_step_xi(traj.tab, traj.op, traj.model,
+                                traj.epsilon, traj.stages[n], p, h)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 

@@ -122,9 +122,6 @@ class RelaxState:
                 f"u and v must be 1-D fields of equal length, got {self.u.shape} and {self.v.shape}"
             )
 
-    def copy(self) -> "RelaxState":
-        return RelaxState(self.u.copy(), self.v.copy())
-
 
 def _pair(cls, first: np.ndarray, second: np.ndarray):
     """cls(first, second) for a two-field array dataclass, without __post_init__.

@@ -137,8 +137,8 @@ def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) ->
 
 
 def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
-                     alpha: float = 0.9, tol: float = 1e-2, max_iter: int = 500,
-                     adjoint_form: str = "ark") -> Tuple[np.ndarray, OptimizerReport]:
+                     alpha: float = 0.9, tol: float = 1e-2,
+                     max_iter: int = 500) -> Tuple[np.ndarray, OptimizerReport]:
     """Fixed-step descent on the reduced objective until it drops below tol.
 
     The update is u0 <- u0 - alpha * (grad / dx): dividing the discrete
@@ -184,7 +184,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
         costs.append(cost(traj.steps[-1].u, problem.u_d, dx))
         if costs[-1] < tol or iterations >= max_iter:
             break
-        record = solve_adjoint(traj, problem.u_d, form=adjoint_form)
+        record = solve_adjoint(traj, problem.u_d)
         grad = assemble_gradient(record, u0, problem.model)
         grad_norms.append(float(np.linalg.norm(grad)))
         u0 = u0 - alpha * (grad / dx)

@@ -216,8 +216,8 @@ def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
 
 
 def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
-                   alpha: float = 0.097, tol: float = 1e-2, max_iter: int = 500,
-                   adjoint_form: str = "ark") -> List[TrackingTableRow]:
+                   alpha: float = 0.097, tol: float = 1e-2,
+                   max_iter: int = 500) -> List[TrackingTableRow]:
     """Run the tracking experiment once per grid size and tabulate the results.
 
     Per grid: the problem comes from tracking_problem, the optimizer starts
@@ -235,7 +235,7 @@ def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
         problem = tracking_problem(template, n)
         u0_start = np.full(problem.grid.n_cells, 0.5)
         _, rep = steepest_descent(problem, u0_start, alpha=alpha, tol=tol,
-                                  max_iter=max_iter, adjoint_form=adjoint_form)
+                                  max_iter=max_iter)
         rows.append(TrackingTableRow(n_cells=int(n), iterations=rep.iterations,
                                      wall_time_s=rep.wall_time,
                                      final_cost=rep.final_cost,

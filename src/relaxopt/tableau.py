@@ -26,7 +26,7 @@ class ZeroWeightError(ValueError):
         self.index = index      # 0-based stage index
         super().__init__(
             f"{which}[{index}] = 0: adjoint coefficients are undefined; "
-            "use the xi- or zeta-form sweep instead"
+            "solve_adjoint falls back to the xi form"
         )
 
 

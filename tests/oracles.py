@@ -17,6 +17,11 @@ The library's steps take the same coefficients from precomputed plans and
 must agree with these bit for bit: `assert_steps_match_reference` checks
 one step of each (used by test_step_oracles.py and test_random_pairs.py).
 
+`adjoint_step_zeta` is the adjoint step in increment form, a third recursion
+algebraically equal to the library's ark and xi steps; `zeta_gradient` sweeps
+it over a stored trajectory.  The forms agree to round-off, not bit for bit
+(test_adjoint.py, test_acceptance.py, test_random_pairs.py).
+
 `random_pair` draws a random IMEX pair with zero weights among its entries.
 """
 from __future__ import annotations
@@ -25,8 +30,9 @@ from typing import List
 
 import numpy as np
 
-from relaxopt.adjoint import (CostateState, _source_transpose, _transport_transpose,
-                              adjoint_step_ark)
+from relaxopt.adjoint import (AdjointSweepRecord, CostateState, Stage, _source_transpose,
+                              _transport_transpose, adjoint_step_ark, assemble_gradient,
+                              terminal_costate)
 from relaxopt.core import FluxModel, RelaxState
 from relaxopt.forward import DivergenceError, imex_step
 from relaxopt.spatial import SpatialOp, apply_dx
@@ -294,6 +300,55 @@ def ref_adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
     return CostateState(*_costate_lincomb(p_next, terms))
 
 
+def adjoint_step_zeta(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
+                      stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
+    """One backward step in increment form; defined for any weights.
+
+    The implicit-weight combination is formed for q only, the one part the
+    source transpose reads.
+    """
+    s = tab.s
+    at, ai = tab.a_tilde, tab.a_impl
+    fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
+    z_p = [None] * s
+    z_q = [None] * s
+    for i in reversed(range(s)):
+        gt_p = tab.w_tilde[i] * p_next.p
+        gt_q = tab.w_tilde[i] * p_next.q
+        gi_q = tab.w[i] * p_next.q
+        for j in range(i + 1, s):
+            if at[j, i] != 0.0:
+                gt_p += at[j, i] * z_p[j]
+                gt_q += at[j, i] * z_q[j]
+            if ai[j, i] != 0.0:
+                gi_q += ai[j, i] * z_q[j]
+        t_p, t_q = _transport_transpose(op, gt_p, gt_q, stages[i])
+        s_p, s_q = _source_transpose(fprime[i], eps, gi_q)
+        k_p = h * (s_p - t_p)
+        k_q = h * (s_q - t_q)
+        k = h * ai[i, i] / eps
+        z_q[i] = k_q / (1.0 + k)
+        z_p[i] = k_p + k * fprime[i] * z_q[i]
+    out_p = p_next.p + sum(z_p)
+    out_q = p_next.q + sum(z_q)
+    return CostateState(out_p, out_q)
+
+
+def zeta_gradient(traj, u_d, u0) -> np.ndarray:
+    """Gradient from a full sweep of zeta steps, for comparison with solve_adjoint's forms.
+
+    It runs the same terminal costate and gradient assembly as solve_adjoint
+    and assemble_gradient, so only the step recursion differs.
+    """
+    p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
+    for n in reversed(range(traj.n_steps)):
+        p = adjoint_step_zeta(traj.tab, traj.op, traj.model, traj.epsilon,
+                              traj.stages[n], p, float(traj.dts[n]))
+    record = AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
+                                stage_costates=[], form_used="zeta")
+    return assemble_gradient(record, u0, traj.model)
+
+
 def random_pair(rng, zero_weights=True):
     """Random pair with s in 1..4 stages.
 
@@ -332,7 +387,7 @@ def assert_steps_match_reference(tab, op, model, eps, y, h, p_next):
         coeffs = adjoint_coeffs(tab)
     except ZeroWeightError:
         return False
-    kept = p_next.copy()
+    kept = CostateState(p_next.p.copy(), p_next.q.copy())
     got = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
     want = ref_adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
     assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)

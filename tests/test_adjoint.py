@@ -6,13 +6,15 @@ import pytest
 from relaxopt.core import (RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init)
 from relaxopt.adjoint import (CostateState, adjoint_step_ark, adjoint_step_xi,
-                              adjoint_step_zeta, assemble_gradient, export_gradient,
-                              solve_adjoint, terminal_costate)
+                              assemble_gradient, export_gradient, solve_adjoint,
+                              terminal_costate)
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
-                               _frozen_speed_problem)
+                               steepest_descent, _frozen_speed_problem)
 from relaxopt.spatial import SpatialOp
 from relaxopt.tableau import adjoint_coeffs, builtin_tableau, make_imex_tableau
+
+from oracles import zeta_gradient
 
 
 def upwind_increment(a, dx, u, v):
@@ -159,8 +161,8 @@ def test_three_forms_agree():
     prob, u0 = _tracking_setup(n=32, tableau="ars-222")
     tab = prob.resolve_tableau()
     traj = solve_forward(prob, tab, u0)
-    grads = {}
-    for form in ("ark", "xi", "zeta"):
+    grads = {"zeta": zeta_gradient(traj, prob.u_d, u0)}
+    for form in ("ark", "xi"):
         rec = solve_adjoint(traj, prob.u_d, form=form)
         assert rec.form_used == form
         grads[form] = assemble_gradient(rec, u0, prob.model)
@@ -178,9 +180,9 @@ def test_three_forms_agree():
 
 # an id without a scheme suffix is the muscl2 case
 @pytest.mark.parametrize("form, scheme",
-                         [pytest.param(f, "muscl2", id=f) for f in ("ark", "xi", "zeta")]
+                         [pytest.param(f, "muscl2", id=f) for f in ("ark", "xi")]
                          + [pytest.param(f, "upwind1", id=f"{f}-upwind1")
-                            for f in ("ark", "xi", "zeta")])
+                            for f in ("ark", "xi")])
 def test_sweep_record_keeps_costates_only(form, scheme):
     prob, u0 = _tracking_setup(n=24, tableau="ars-222")
     tab = prob.resolve_tableau()
@@ -194,7 +196,7 @@ def test_sweep_record_keeps_costates_only(form, scheme):
         assert np.array_equal(x, np.concatenate([st.u, st.v]))
     # replaying every step from the terminal costate gives the kept one bit for bit
     step = {"ark": lambda *a: adjoint_step_ark(adjoint_coeffs(tab), *a),
-            "xi": adjoint_step_xi, "zeta": adjoint_step_zeta}[form]
+            "xi": adjoint_step_xi}[form]
     p = terminal_costate(traj.steps[-1].u, prob.u_d, traj.grid.dx)
     for n in reversed(range(traj.n_steps)):
         p = step(tab, traj.op, prob.model, traj.epsilon, traj.stages[n], p,
@@ -234,6 +236,15 @@ def test_builtin_zero_weight_tableau_uses_fallback():
     grad = assemble_gradient(rec, u0, prob.model)
     fd = fd_gradient(prob, u0)
     assert np.max(np.abs(grad - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+def test_descent_reaches_the_xi_fallback_without_a_form_option():
+    prob, u0 = _tracking_setup(n=24, tableau="ars-443")
+    _, report = steepest_descent(prob, u0, max_iter=1)
+    assert len(report.grad_norm_history) == 1
+    traj = solve_forward(prob, prob.resolve_tableau(), u0)
+    grad = assemble_gradient(solve_adjoint(traj, prob.u_d, form="xi"), u0, prob.model)
+    assert report.grad_norm_history[0] == float(np.linalg.norm(grad))
 
 
 def test_sweep_is_linear_in_terminal_costate():

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from relaxopt.cli import RunConfig, load_config_file, main
 
 PERTURBED_TABLEAU = """\
@@ -73,6 +75,19 @@ def test_check_reports_orders_and_passes(capsys):
     rc = main(["check", "--tableau", "ars-222"])
     assert rc == 0
     assert "forward order 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tableau, used", [("ars-222", "ark,xi"), ("ars-443", "xi,xi")],
+                         ids=["ars-222", "ars-443"])
+def test_check_names_the_adjoint_forms_it_compared(tableau, used, capsys):
+    # ars-443 has a zero weight, so its default sweep falls back to xi
+    assert main(["check", "--tableau", tableau]) == 0
+    check_lines = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("check ")]
+    assert len(check_lines) == 4
+    row = next(ln for ln in check_lines if ln.startswith("check adjoint-form-equivalence"))
+    assert row.startswith("check adjoint-form-equivalence: ok (max gradient difference = ")
+    assert row.endswith(f" over {used})")
 
 
 def test_check_rejects_perturbed_weights(tmp_path, capsys):
@@ -182,6 +197,14 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "unknown config key 'banana'" in err and ":1:" in err
+
+
+def test_removed_adjoint_form_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("adjoint_form = xi\n")
+    rc = main(["optimize", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "unknown config key 'adjoint_form'" in capsys.readouterr().err
 
 
 def test_defaults_match_reference_setup():

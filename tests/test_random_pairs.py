@@ -2,7 +2,8 @@
 
 Each pair has s in 1..4 stages, a strictly lower triangular explicit matrix,
 a lower triangular implicit matrix and weights of which some are zero, so the
-"ark" sweep also exercises its fallback to "xi".  The bitwise test adds pairs
+"ark" sweep also exercises its fallback to "xi"; both forms are compared
+with the zeta-form oracle sweep.  The bitwise test adds pairs
 with nonzero weights and zero matrix entries, which the ark step accepts.
 """
 import numpy as np
@@ -14,7 +15,8 @@ from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import ControlProblem
 from relaxopt.spatial import SpatialOp
 
-from oracles import assert_steps_match_reference, imex_step_kform, random_pair
+from oracles import (assert_steps_match_reference, imex_step_kform, random_pair,
+                     zeta_gradient)
 
 N = 20
 EPS = 1e-2
@@ -56,7 +58,7 @@ def test_adjoint_forms_agree_on_random_pairs(scheme):
         traj = solve_forward(prob, tab, u0)
         assert traj.n_steps == 3
         grads = [assemble_gradient(solve_adjoint(traj, prob.u_d, form=f), u0, model)
-                 for f in FORMS]
+                 for f in FORMS] + [zeta_gradient(traj, prob.u_d, u0)]
         for g_form in grads[1:]:
             assert np.max(np.abs(g_form - grads[0])) <= 1e-11, tab
 
