@@ -26,8 +26,10 @@ stage costate, so no form computes the p part, and the transport transpose
 wraps the stepper's own sums without re-validating them (core._pair).
 
 The ark step reads its coefficient differences from AdjointCoeffs.plan and
-its weights and implicit diagonal from ImexTableau.plan, both built once,
-so a step does no numpy-scalar arithmetic and builds no term lists.  It
+its weights and implicit diagonal from ImexTableau.plan, both built once
+with the pair (the pair keeps its AdjointCoeffs as ImexTableau.adjoint_coeffs,
+None when a weight is zero), so a sweep derives no coefficients and a step
+does no numpy-scalar arithmetic and builds no term lists.  It
 stores the source's second component as q / eps and puts its sign on the
 coefficients, and wraps the costate it returns without re-validating it.
 It is bit-identical to the array-indexing version kept in tests/oracles.py.
@@ -42,7 +44,7 @@ import numpy as np
 from .core import FluxModel, RelaxState, _pair
 from .forward import StoredStage, Trajectory, _accumulate
 from .spatial import SpatialOp, apply_dx_transpose
-from .tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
+from .tableau import AdjointCoeffs, ImexTableau
 
 FORMS = ("ark", "xi")
 
@@ -226,18 +228,13 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
     if n_steps > 0 and len(traj.stages) != n_steps:
         raise ValueError("trajectory was solved without stage storage; rerun with store_stages=True")
 
-    coeffs = None
-    form_used = form
-    if form == "ark":
-        try:
-            coeffs = adjoint_coeffs(traj.tab)
-        except ZeroWeightError:
-            form_used = "xi"
+    coeffs = traj.tab.adjoint_coeffs if form == "ark" else None
+    form_used = "ark" if coeffs is not None else "xi"
 
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
     for n in reversed(range(n_steps)):
         h = float(traj.dts[n])
-        if form_used == "ark":
+        if coeffs is not None:
             p = adjoint_step_ark(coeffs, traj.tab, traj.op, traj.model,
                                  traj.epsilon, traj.stages[n], p, h)
         else:

@@ -19,19 +19,32 @@ SpatialOp.linear says which case applies: under upwind1 neither the
 transpose nor the linearization reads a base state, so a stored forward
 record need not keep the stage v that only a base would supply.
 
-Periodic neighbours come from slice helpers, each filling one
-`np.empty_like` buffer: `_prev` (x[i-1]), `_next` (x[i+1]), `_back_diff`
-(x[i] - x[i-1]), `_fwd_diff` (x[i] - x[i+1]), and `_next_sub` and `_prev_sub`,
-which write a difference x - y straight into its shifted place, all with
-wraparound.  They replace numpy's `roll`, which costs several times more per
-call at these sizes.  The operators compute a*u once and scale their own
+Periodic neighbours come from ghost cells, not from numpy's `roll`, which
+costs several times more per call at these sizes.  A field whose
+neighbour is read is written into a buffer one cell longer than the grid,
+and one copy fills the extra (ghost) cell with the value the wraparound
+brings there: buf[0] = buf[N] when x[i-1] is read, buf[N] = buf[0] when
+x[i+1] is read.  Then x[i] and its neighbour are two views of one array.
+Under muscl2 the two characteristic families are the rows of one such
+(2, N+1) buffer (`_char_diffs`), and their back differences
+d[i] = w[i] - w[i-1] the rows of another, so one pass over d decides
+minmod's branches for the pairs (d[i], d[i+1]) of both families
+(`_branches`).  The limited slopes of apply_dx, the frozen branch masks of
+the linearization and the transpose (`_limiter_masks`) and the public
+`minmod` all come from that one rule.  `_next_sub` and `_prev_sub` write a
+difference x - y into a ghost-cell buffer and return its shifted view,
+`_divergence` differences the face values inside their own ghost-cell
+buffers, and `_fwd_diff` (x[i] - x[i+1]) serves the transpose's inputs,
+which arrive unpadded.  The operators compute a*u once and scale their own
 temporaries in place (/ (2a), * 0.5, / dx, * a^2), and the transpose forms
 fm_bar = vf_bar/2 - uf_bar/(2a), which IEEE arithmetic rounds exactly as
-(-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same floating-point
-operations in the same order as the `roll` formulas, so the results are
-bit-identical to them; the test-only reference in tests/oracles.py checks
-that with `np.array_equal`.  `apply_dx` and `apply_dx_transpose` wrap their
-own output arrays without re-validating them (core._pair).
+(-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same
+floating-point operations in the same order as the `roll` formulas, so the
+results are bit-identical to them; test_spatial.py compares the bit
+patterns with the test-only reference in tests/oracles.py.  A shifted view never
+leaves the module: the arrays the operators return own their data, and
+`apply_dx` and `apply_dx_transpose` wrap them without re-validating them
+(core._pair).
 """
 from __future__ import annotations
 
@@ -71,30 +84,6 @@ class SpatialOp:
         return self.scheme == "upwind1"
 
 
-def _prev(x):
-    """x[i-1] with periodic wraparound (roll by +1)."""
-    out = np.empty_like(x)
-    out[1:] = x[:-1]
-    out[0] = x[-1]
-    return out
-
-
-def _next(x):
-    """x[i+1] with periodic wraparound (roll by -1)."""
-    out = np.empty_like(x)
-    out[:-1] = x[1:]
-    out[-1] = x[0]
-    return out
-
-
-def _back_diff(x):
-    """x[i] - x[i-1] with periodic wraparound (x minus its roll by +1)."""
-    out = np.empty_like(x)
-    np.subtract(x[1:], x[:-1], out=out[1:])
-    out[0] = x[0] - x[-1]
-    return out
-
-
 def _fwd_diff(x):
     """x[i] - x[i+1] with periodic wraparound (x minus its roll by -1)."""
     out = np.empty_like(x)
@@ -104,37 +93,75 @@ def _fwd_diff(x):
 
 
 def _next_sub(x, y):
-    """x[i+1] - y[i+1] with periodic wraparound (x - y rolled by -1)."""
-    out = np.empty_like(x)
-    np.subtract(x[1:], y[1:], out=out[:-1])
-    np.subtract(x[:1], y[:1], out=out[-1:])
-    return out
+    """x[i+1] - y[i+1] with periodic wraparound (x - y rolled by -1).
+
+    A view buf[1:] of a buffer whose ghost cell buf[N] repeats buf[0].
+    """
+    n = x.size
+    buf = np.empty(n + 1)
+    np.subtract(x, y, out=buf[:n])
+    buf[n] = buf[0]
+    return buf[1:]
 
 
 def _prev_sub(x, y):
-    """x[i-1] - y[i-1] with periodic wraparound (x - y rolled by +1)."""
-    out = np.empty_like(x)
-    np.subtract(x[:-1], y[:-1], out=out[1:])
-    np.subtract(x[-1:], y[-1:], out=out[:1])
-    return out
+    """x[i-1] - y[i-1] with periodic wraparound (x - y rolled by +1).
+
+    A view buf[:N] of a buffer whose ghost cell buf[0] repeats buf[N].
+    """
+    n = x.size
+    buf = np.empty(n + 1)
+    np.subtract(x, y, out=buf[1:])
+    buf[0] = buf[n]
+    return buf[:n]
+
+
+def _branches(d):
+    """minmod's branches for the pairs (x, y) = (d[..., i], d[..., i+1]) along the last axis.
+
+    Returns (zero, left).  zero marks x*y <= 0: opposite signs, a zero
+    argument or a product that underflows to 0, where the limited slope is
+    0.  left marks |x| <= |y|, where x is taken unless zero holds, so a tie
+    takes x.  A NaN fails both tests, so minmod(nan, y) is y.
+    """
+    ad = np.abs(d)
+    return d[..., :-1] * d[..., 1:] <= 0.0, ad[..., :-1] <= ad[..., 1:]
+
+
+def _limited_slopes(d):
+    """minmod(d[..., i], d[..., i+1]) along the last axis."""
+    zero, left = _branches(d)
+    return np.where(zero, 0.0, np.where(left, d[..., :-1], d[..., 1:]))
 
 
 def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slope limiter: 0 when the arguments disagree in sign, else the smaller magnitude.
 
-    Sign ties (x*y <= 0, including zeros) resolve to the zero slope.
+    Sign ties (x*y <= 0, including zeros) resolve to the zero slope, and a
+    magnitude tie to x (see _branches).
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    return np.where(x * y <= 0.0, 0.0, np.where(np.abs(x) <= np.abs(y), x, y))
+    pair = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)), axis=-1)
+    return _limited_slopes(pair)[..., 0]
 
 
-def _minmod_masks(x, y):
-    """Branch masks of minmod at (x, y): (zero-slope, took-x, took-y)."""
-    zero = x * y <= 0.0
-    left = ~zero & (np.abs(x) <= np.abs(y))
-    right = ~zero & ~left
-    return zero, left, right
+def _char_diffs(op: SpatialOp, u, v):
+    """Both characteristic families and their periodic back differences, in ghost-cell buffers.
+
+    Returns (w, d), each of shape (2, N+1) with w+ = v + a*u in row 0 and
+    w- = v - a*u in row 1.  w[:, 1:] holds the cells and w[:, 0] the ghost
+    w[:, N-1]; d[:, :N] holds d[i] = w[i] - w[i-1] and d[:, N] the ghost
+    d[:, 0].  So d[:, :-1] and d[:, 1:] are the limiter's pairs (d[i], d[i+1]).
+    """
+    n = u.size
+    au = op.a * u
+    w = np.empty((2, n + 1))
+    np.add(v, au, out=w[0, 1:])
+    np.subtract(v, au, out=w[1, 1:])
+    w[:, 0] = w[:, n]
+    d = np.empty((2, n + 1))
+    np.subtract(w[:, 1:], w[:, :-1], out=d[:, :n])
+    d[:, n] = d[:, 0]
+    return w, d
 
 
 def _check_state(op: SpatialOp, u, v):
@@ -143,36 +170,39 @@ def _check_state(op: SpatialOp, u, v):
         raise ValueError(f"state size {u.shape}/{v.shape} does not match grid ({n} cells)")
 
 
-def _char_vars(op, u, v):
-    return v + op.a * u, v - op.a * u
-
-
 def _face_values(op: SpatialOp, u, v):
     """Interface values of both characteristic families at faces i+1/2."""
-    au = op.a * u
-    wp = v + au
-    if op.scheme == "upwind1":
-        return wp, _next_sub(v, au)
-    wm = v - au
-    dp = _back_diff(wp)
-    fp = minmod(dp, _next(dp))
-    fp *= 0.5
-    fp += wp
-    dm = _back_diff(wm)
-    sm = minmod(dm, _next(dm))
-    sm *= 0.5
-    return fp, _next_sub(wm, sm)
+    if op.linear:
+        au = op.a * u
+        return v + au, _next_sub(v, au)
+    w, d = _char_diffs(op, u, v)
+    s = _limited_slopes(d)
+    s *= 0.5
+    # fp = wp + sp/2 and fm[i] = (wm - sm/2)[i+1]
+    return s[0] + w[0, 1:], _next_sub(w[1, 1:], s[1])
 
 
 def _divergence(op: SpatialOp, fp, fm):
+    """Cell increments from the face values at i+1/2.
+
+    Each face field is written into a buffer whose ghost cell 0 repeats the
+    last face, N-1/2, which wraps around to face -1/2.
+    """
     a, dx = op.a, op.grid.dx
-    u_face = fp - fm
-    u_face /= 2.0 * a
-    v_face = fp + fm
-    v_face *= 0.5
-    out_u = _back_diff(v_face)
+    n = fp.size
+    u_face = np.empty(n + 1)
+    uf = u_face[1:]
+    np.subtract(fp, fm, out=uf)
+    uf /= 2.0 * a
+    u_face[0] = u_face[n]
+    v_face = np.empty(n + 1)
+    vf = v_face[1:]
+    np.add(fp, fm, out=vf)
+    vf *= 0.5
+    v_face[0] = v_face[n]
+    out_u = vf - v_face[:n]
     out_u /= dx
-    out_v = _back_diff(u_face)
+    out_v = uf - u_face[:n]
     out_v *= a * a
     out_v /= dx
     return out_u, out_v
@@ -198,38 +228,42 @@ def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> R
     if op.linear:
         return apply_dx(op, delta)
     _check_state(op, base.u, base.v)
-    fp_masks, fm_masks = _limiter_masks(op, base)
-    du, dv = delta.u, delta.v
-    wp, wm = _char_vars(op, du, dv)
-    fp = wp + 0.5 * _frozen_slope(wp, fp_masks)
-    fm = _next(wm - 0.5 * _frozen_slope(wm, fm_masks))
+    took_x, took_y = _limiter_masks(op, base)
+    w, d = _char_diffs(op, delta.u, delta.v)
+    # frozen slopes sigma[i] = d[i] or d[i+1] as minmod chose at base, else 0
+    half = np.where(took_x, d[:, :-1], 0.0) + np.where(took_y, d[:, 1:], 0.0)
+    half *= 0.5
+    fp = w[0, 1:] + half[0]
+    fm = _next_sub(w[1, 1:], half[1])
     out_u, out_v = _divergence(op, fp, fm)
     return RelaxState(out_u, out_v)
 
 
-def _limiter_masks(op: SpatialOp, base: RelaxState):
-    bwp, bwm = _char_vars(op, base.u, base.v)
-    dp = _back_diff(bwp)
-    dm = _back_diff(bwm)
-    return (_minmod_masks(dp, _next(dp)),
-            _minmod_masks(dm, _next(dm)))
+def _limiter_masks(op: SpatialOp, base):
+    """Where minmod took d[i] and where it took d[i+1] at `base`: (took_x, took_y).
 
-
-def _frozen_slope(w, masks):
-    """Limited slope sigma(w) with the minmod branches fixed by `masks`."""
-    _, left, right = masks
-    d = _back_diff(w)
-    return np.where(left, d, 0.0) + np.where(right, _next(d), 0.0)
+    Each mask has one row per family, as in _char_diffs.
+    """
+    _, d = _char_diffs(op, base.u, base.v)
+    zero, left = _branches(d)
+    nonzero = ~zero
+    return nonzero & left, nonzero & ~left
 
 
 def _slope_transpose(sbar, masks):
-    """Transpose of the frozen-limiter slope map sigma(w) back onto w-cotangents.
+    """Transpose of the frozen-limiter slope map sigma(w) back onto w-cotangents, families as rows.
 
-    Forward: d[i] = w[i] - w[i-1]; sigma[i] = left[i]*d[i] + right[i]*d[i+1].
+    Forward: d[i] = w[i] - w[i-1]; sigma[i] = took_x[i]*d[i] + took_y[i]*d[i+1].
     """
-    _, left, right = masks
-    dbar = np.where(left, sbar, 0.0) + _prev(np.where(right, sbar, 0.0))
-    return _fwd_diff(dbar)
+    took_x, took_y = masks
+    n = sbar.shape[1]
+    right = np.empty((2, n + 1))          # ghost column 0: right[:, :n] is rolled by +1
+    right[:, 1:] = np.where(took_y, sbar, 0.0)
+    right[:, 0] = right[:, n]
+    dbar = np.empty((2, n + 1))           # ghost column n: dbar[:, 1:] is rolled by -1
+    np.add(np.where(took_x, sbar, 0.0), right[:, :n], out=dbar[:, :n])
+    dbar[:, n] = dbar[:, 0]
+    return dbar[:, :n] - dbar[:, 1:]
 
 
 def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxState:
@@ -244,6 +278,8 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     """
     zu, zv = costate.u, costate.v
     _check_state(op, zu, zv)
+    if base is None and not op.linear:
+        raise ValueError("muscl2 transpose needs the linearization base state")
     a, dx = op.a, op.grid.dx
 
     # transpose of the face-difference / back-transform stage:
@@ -255,23 +291,17 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     t *= a * a
     t /= dx
     t /= 2.0 * a
-    fp_bar = t + half
-    pre = _prev_sub(half, t)   # fm_bar[i-1]
+    wp_bar = t + half              # fp_bar
+    wm_bar = _prev_sub(half, t)    # fm_bar[i-1]
 
-    if op.linear:
-        wp_bar = fp_bar
-        wm_bar = pre
-    else:
-        if base is None:
-            raise ValueError("muscl2 transpose needs the linearization base state")
-        fp_masks, fm_masks = _limiter_masks(op, base)
-        # w+ face: fp = wp + sigma(wp)/2
-        wp_bar = fp_bar + 0.5 * _slope_transpose(fp_bar, fp_masks)
-        # w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
-        wm_bar = pre - 0.5 * _slope_transpose(pre, fm_masks)
+    if not op.linear:
+        # w+ face: fp = wp + sigma(wp)/2; w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
+        g = _slope_transpose(np.stack((wp_bar, wm_bar)), _limiter_masks(op, base))
+        g *= 0.5
+        wp_bar += g[0]
+        wm_bar -= g[1]
 
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u
     out_u = wp_bar - wm_bar
     out_u *= a
-    wm_bar += wp_bar
-    return _pair(RelaxState, out_u, wm_bar)
+    return _pair(RelaxState, out_u, wm_bar + wp_bar)

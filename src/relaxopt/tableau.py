@@ -69,9 +69,12 @@ class ImexTableau:
 
     a_tilde is strictly lower triangular (explicit), a_impl lower triangular
     with diagonal allowed (diagonally implicit).  The abscissae c_tilde and c
-    are the row sums of the respective matrices.  `plan` is derived from the
-    entries when the pair is built: the step plan imex_step iterates, so a
-    step never indexes or compares the coefficient arrays.
+    are the row sums of the respective matrices.  `plan` and `adjoint_coeffs`
+    are derived from the entries when the pair is built.  `plan` is the step
+    plan imex_step iterates, so a step never indexes or compares the
+    coefficient arrays.  `adjoint_coeffs` is adjoint_coeffs(pair), the
+    matrices of the ark adjoint step, or None when a weight is zero and the
+    matrices are undefined; solve_adjoint then runs the xi step.
     """
 
     name: str
@@ -83,6 +86,7 @@ class ImexTableau:
     c_tilde: np.ndarray
     c: np.ndarray
     plan: StepPlan = field(init=False, repr=False, compare=False)
+    adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.s
@@ -107,6 +111,11 @@ class ImexTableau:
             stages=tuple((_pairs(range(i), at[i], ai[i]), float(ai[i, i])) for i in range(s)),
             weights=_pairs(range(s), self.w_tilde, self.w))
         object.__setattr__(self, "plan", plan)
+        try:
+            coeffs = adjoint_coeffs(self)
+        except ZeroWeightError:
+            coeffs = None
+        object.__setattr__(self, "adjoint_coeffs", coeffs)
 
 
 def make_imex_tableau(name, a_tilde, a_impl, w_tilde, w) -> ImexTableau:
@@ -268,10 +277,7 @@ def check_order(tab: ImexTableau, coeffs: Optional[AdjointCoeffs] = None,
             break
 
     if coeffs is None:
-        try:
-            coeffs = adjoint_coeffs(tab)
-        except ZeroWeightError:
-            coeffs = None
+        coeffs = tab.adjoint_coeffs
 
     branch_used = "inherited"
     adjoint_order = forward

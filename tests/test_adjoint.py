@@ -11,6 +11,7 @@ from relaxopt.adjoint import (CostateState, adjoint_step_ark, adjoint_step_xi,
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
                                steepest_descent, _frozen_speed_problem)
+from relaxopt import adjoint as adjoint_module, tableau as tableau_module
 from relaxopt.spatial import SpatialOp
 from relaxopt.tableau import adjoint_coeffs, builtin_tableau, make_imex_tableau
 
@@ -245,6 +246,27 @@ def test_descent_reaches_the_xi_fallback_without_a_form_option():
     traj = solve_forward(prob, prob.resolve_tableau(), u0)
     grad = assemble_gradient(solve_adjoint(traj, prob.u_d, form="xi"), u0, prob.model)
     assert report.grad_norm_history[0] == float(np.linalg.norm(grad))
+
+
+@pytest.mark.parametrize("tableau", ["ars-222", "ars-443"])
+def test_sweep_derives_no_coefficients(tableau, monkeypatch):
+    # the pair carries its adjoint coefficients (None under a zero weight),
+    # so a sweep reads them and never calls adjoint_coeffs
+    prob, u0 = _tracking_setup(n=24, tableau=tableau)
+    tab = prob.resolve_tableau()
+    traj = solve_forward(prob, tab, u0)
+    want = solve_adjoint(traj, prob.u_d)
+
+    def underived(pair):
+        raise AssertionError("solve_adjoint derived the adjoint coefficients")
+
+    monkeypatch.setattr(tableau_module, "adjoint_coeffs", underived)
+    monkeypatch.setattr(adjoint_module, "adjoint_coeffs", underived, raising=False)
+    rec = solve_adjoint(traj, prob.u_d)
+    assert rec.form_used == ("ark" if tab.adjoint_coeffs is not None else "xi")
+    assert rec.form_used == ("xi" if tableau == "ars-443" else "ark")
+    assert np.array_equal(rec.costates[0].p, want.costates[0].p)
+    assert np.array_equal(rec.costates[0].q, want.costates[0].q)
 
 
 def test_sweep_is_linear_in_terminal_costate():

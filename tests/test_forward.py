@@ -305,6 +305,25 @@ def test_stored_linear_record_keeps_no_stage_v():
     assert held < kept + 0.25 * (with_v - kept)
 
 
+@pytest.mark.parametrize("name, scheme", _RECORD_CASES)
+def test_record_arrays_own_their_data(name, scheme):
+    # the stencils work in padded buffers; a view of one kept by a record
+    # would hold the whole buffer for as long as the record lives
+    eps = 1.0 if name == "bpr-343" else 1e-6
+    g, model, u0, cfg = _setup(n=24, eps=eps)
+    prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
+    tab = builtin_tableau(name)
+    traj = solve_forward(prob, tab, u0, store_stages=True)
+    y1, stages = imex_step(tab, traj.op, model, eps, traj.steps[0], float(traj.dts[0]))
+    kept = [y1.u, y1.v]
+    kept += [arr for st in traj.steps for arr in (st.u, st.v)]
+    kept += [arr for step in traj.stages for st in step for arr in (st.u, st.v)
+             if arr is not None]
+    assert len(kept) > 2 * (traj.n_steps + 2)
+    for arr in kept:
+        assert arr.base is None
+
+
 def test_relax_config_speed_override():
     g, model, u0, _ = _setup(n=24)
     cfg = RelaxConfig(epsilon=1e-6, a=3.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import roll_apply_dx, roll_apply_dx_linearized, roll_apply_dx_transpose
+from oracles import _minmod, roll_apply_dx, roll_apply_dx_linearized, roll_apply_dx_transpose
 from relaxopt.core import RelaxState, make_grid
 from relaxopt.spatial import (SpatialOp, apply_dx, apply_dx_linearized,
                               apply_dx_transpose, minmod)
@@ -181,6 +181,53 @@ def test_minmod_values():
                           np.array([1.0, -0.5]))
 
 
+def _bits(x):
+    """The IEEE bit patterns of x, so signed zeros and NaN payloads compare too."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+# zeros of both signs, magnitudes whose products underflow to 0, exact
+# magnitude ties and NaN
+_MINMOD_EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-200, -1e-200,
+                          1.0, -1.0, 2.0, -2.0, np.nan])
+
+
+def test_minmod_edge_rule_matches_oracle_bitwise():
+    x, y = np.meshgrid(_MINMOD_EDGES, _MINMOD_EDGES)
+    assert np.array_equal(_bits(minmod(x, y)), _bits(_minmod(x, y)))
+    assert np.array_equal(_bits(minmod(list(_MINMOD_EDGES), 1.0)),
+                          _bits(_minmod(_MINMOD_EDGES, 1.0)))
+    # a product that underflows to 0 counts as a sign tie: the slope is 0
+    assert 1e-200 * 1e-200 == 0.0
+    assert minmod(1e-200, 1e-200) == 0.0
+    assert minmod(1e-200, 1.0) == 1e-200
+    # every zero-slope result is +0.0, whatever the signs of zero arguments
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0, 1.0, -1.0):
+            assert _bits(minmod(a, b)) == _bits(0.0)
+            assert _bits(minmod(b, a)) == _bits(0.0)
+    # a magnitude tie takes the first argument
+    assert minmod(-2.0, -2.0) == -2.0
+    # NaN fails both tests, so the second argument is taken
+    assert minmod(np.nan, 1.0) == 1.0
+    assert np.isnan(minmod(1.0, np.nan))
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+def test_operator_outputs_own_their_data(scheme):
+    # the stencils shift fields inside padded buffers; a returned view would
+    # keep its whole buffer alive wherever the result is stored
+    rng = np.random.default_rng(3)
+    n = 12
+    op = SpatialOp(make_grid(0.0, 1.0, n), 1.5, scheme=scheme)
+    base = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+    delta = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+    for out in (apply_dx(op, base), apply_dx_linearized(op, base, delta),
+                apply_dx_transpose(op, delta, base)):
+        assert out.u.base is None
+        assert out.v.base is None
+
+
 def test_unknown_scheme_rejected():
     g = make_grid(0.0, 1.0, 8)
     with pytest.raises(ValueError):
@@ -191,17 +238,24 @@ def test_unknown_scheme_rejected():
         SpatialOp(g, 0.0)
 
 
-def _tie_states(n, rng):
-    """Base states whose limiter slopes include exact zeros and exact |x| == |y| ties.
+def _edge_states(n, rng):
+    """Base states whose limiter pairs hit minmod's edge cases.
 
     Small integer fields with a = 2 keep w+- = v +- a*u exact, so neighbouring
-    slopes are often equal (ramps) or zero (plateaus).
+    slopes are often equal (ramps) or zero (plateaus).  A ramp of step 1e-200
+    has slopes whose products underflow to 0, signed-zero fields give zero
+    slopes of both signs, and a NaN cell poisons its neighbours' slopes.
     """
     i = np.arange(n, dtype=float)
     yield RelaxState(rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n).astype(float))
     yield RelaxState(i, np.zeros(n))                        # ramp: equal slopes except at the wrap
     yield RelaxState(np.floor(i / 2), np.ones(n))           # staircase: alternating zero slopes
     yield RelaxState(np.zeros(n), np.zeros(n))              # all slopes zero
+    yield RelaxState(1e-200 * i, np.zeros(n))               # slopes 2e-200: products underflow
+    yield RelaxState(np.where(i % 3 == 0, -0.0, 0.0), np.full(n, -0.0))
+    poisoned = np.sin(i)
+    poisoned[n // 2] = np.nan
+    yield RelaxState(poisoned, np.cos(i))
 
 
 @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
@@ -211,7 +265,7 @@ def test_slice_stencils_match_roll_oracle_bitwise(n, scheme):
     g = make_grid(0.0, 2.0 * np.pi, n)
     random_states = [RelaxState(rng.standard_normal(n), rng.standard_normal(n))
                      for _ in range(5)]
-    cases = [(1.3, b) for b in random_states] + [(2.0, b) for b in _tie_states(n, rng)]
+    cases = [(1.3, b) for b in random_states] + [(2.0, b) for b in _edge_states(n, rng)]
     for a, base in cases:
         op = SpatialOp(g, a, scheme=scheme)
         delta = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
@@ -221,5 +275,5 @@ def test_slice_stencils_match_roll_oracle_bitwise(n, scheme):
                  (apply_dx_transpose(op, delta, base),
                   roll_apply_dx_transpose(op, delta, base))]
         for got, want in pairs:
-            assert np.array_equal(got.u, want.u)
-            assert np.array_equal(got.v, want.v)
+            assert np.array_equal(_bits(got.u), _bits(want.u))
+            assert np.array_equal(_bits(got.v), _bits(want.v))

@@ -291,3 +291,28 @@ def test_plans_stay_out_of_repr_and_follow_replace():
     assert reweighted.plan.stages == tab.plan.stages
     with pytest.raises(ValueError):
         dataclasses.replace(tab, plan=tab.plan)
+
+
+def test_pair_keeps_its_adjoint_coeffs():
+    # derived once with the pair, equal to adjoint_coeffs(pair) bit for bit,
+    # and None exactly where a zero weight leaves the matrices undefined
+    with_coeffs = 0
+    for tab in _plan_pairs():
+        try:
+            want = adjoint_coeffs(tab)
+        except ZeroWeightError:
+            assert tab.adjoint_coeffs is None, tab
+            continue
+        with_coeffs += 1
+        got = tab.adjoint_coeffs
+        for name in ("alpha_tilde", "alpha", "beta_tilde", "beta", "gamma", "gamma_tilde"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (tab, name)
+        assert got.plan == want.plan
+    assert 30 <= with_coeffs < len(_plan_pairs())
+    tab = builtin_tableau("ars-222")
+    assert "adjoint_coeffs" not in repr(tab)
+    reweighted = dataclasses.replace(tab, w=np.array([0.25, 0.75]))
+    assert np.array_equal(reweighted.adjoint_coeffs.beta, adjoint_coeffs(reweighted).beta)
+    assert dataclasses.replace(tab, w=np.array([1.0, 0.0])).adjoint_coeffs is None
+    with pytest.raises(ValueError):
+        dataclasses.replace(tab, adjoint_coeffs=tab.adjoint_coeffs)
