@@ -258,15 +258,15 @@ def _branch_residuals(tab: ImexTableau, coeffs: AdjointCoeffs) -> Dict[str, floa
     }
 
 
-def check_order(tab: ImexTableau, coeffs: Optional[AdjointCoeffs] = None,
-                tol: float = ORDER_TOL) -> OrderReport:
+def check_order(tab: ImexTableau, tol: float = ORDER_TOL) -> OrderReport:
     """Evaluate the order conditions and classify the tableau pair.
 
     forward_order is monotone: order k is only claimed when every condition of
     order <= k is below tol.  For forward order 3 the coupled forward/adjoint
     system keeps order 3 only if one of the extra condition branches holds;
-    without coefficient matrices (zero-weight tableaus) that question cannot be
-    decided and the coupled order is reported as 2.
+    without coefficient matrices (tab.adjoint_coeffs is None for zero-weight
+    tableaus) that question cannot be decided and the coupled order is
+    reported as 2.
     """
     res = order_condition_residuals(tab)
     forward = 0
@@ -276,9 +276,7 @@ def check_order(tab: ImexTableau, coeffs: Optional[AdjointCoeffs] = None,
         else:
             break
 
-    if coeffs is None:
-        coeffs = tab.adjoint_coeffs
-
+    coeffs = tab.adjoint_coeffs
     branch_used = "inherited"
     adjoint_order = forward
     if forward == 3:
