@@ -189,10 +189,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     """Forward solve from the standard profile; writes trajectory.csv."""
     tab = _tableau(cfg)
     problem = _base_problem(cfg, tab, cfg.n_cells)
-    traj = solve_forward(problem, tab, _default_u0(problem.grid.centers),
-                         store_stages=True)
     path = _out_path(cfg, "trajectory.csv")
-    export_trajectory(traj, path, stride=cfg.frame_stride, header=_config_header(cfg))
+    traj = export_trajectory(problem, tab, _default_u0(problem.grid.centers), path,
+                             stride=cfg.frame_stride, header=_config_header(cfg))
     print(f"solved {tab.name} on N={cfg.n_cells} to T={cfg.t_final} "
           f"({traj.n_steps} steps, h={traj.h:.6g}, a={traj.op.a:.6g})")
     print(f"wrote {path}")
@@ -224,7 +223,10 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 
 def _check_battery(cfg: RunConfig, tab: ImexTableau) -> List[tuple]:
-    """(name, passed, detail) rows for the consistency checks cmd_check prints."""
+    """(name, passed, detail) rows for the consistency checks cmd_check prints.
+
+    passed is None for a check the pair leaves nothing to compare in.
+    """
     checks: List[tuple] = []
 
     weight_res = max(abs(float(np.sum(tab.w_tilde)) - 1.0),
@@ -255,14 +257,18 @@ def _check_battery(cfg: RunConfig, tab: ImexTableau) -> List[tuple]:
     checks.append(("transpose-dot-test", dot_rel <= 1e-12,
                    f"relative defect = {dot_rel:.2e}"))
 
-    # on a zero-weight tableau both sweeps run xi; the detail says so
-    records = [solve_adjoint(traj, problem.u_d, form=form) for form in FORMS]
-    grads = [assemble_gradient(rec, u0, model) for rec in records]
-    form_diff = max(float(np.max(np.abs(g - g_next)))
-                    for g, g_next in zip(grads, grads[1:]))
-    used = ",".join(rec.form_used for rec in records)
-    checks.append(("adjoint-form-equivalence", form_diff <= 1e-11,
-                   f"max gradient difference = {form_diff:.2e} over {used}"))
+    if tab.adjoint_coeffs is None:
+        # every sweep falls back to xi, so there is no second form to compare
+        checks.append(("adjoint-form-equivalence", None,
+                       "a zero weight leaves only the xi form"))
+    else:
+        records = [solve_adjoint(traj, problem.u_d, form=form) for form in FORMS]
+        grads = [assemble_gradient(rec, u0, model) for rec in records]
+        form_diff = max(float(np.max(np.abs(g - g_next)))
+                        for g, g_next in zip(grads, grads[1:]))
+        used = ",".join(rec.form_used for rec in records)
+        checks.append(("adjoint-form-equivalence", form_diff <= 1e-11,
+                       f"max gradient difference = {form_diff:.2e} over {used}"))
 
     rep = gradient_report(problem, u0, theta=cfg.theta)
     checks.append(("gradient-vs-fd", rep.max_rel_err <= 1e-4,
@@ -286,9 +292,9 @@ def cmd_check(cfg: RunConfig) -> int:
               f"{max(satisfied):.2e}")
     failed = 0
     for name, ok, detail in _check_battery(cfg, tab):
-        status = "ok" if ok else "FAIL"
+        status = "skip" if ok is None else "ok" if ok else "FAIL"
         print(f"check {name}: {status} ({detail})")
-        failed += 0 if ok else 1
+        failed += status == "FAIL"
     if failed:
         print(f"{failed} check(s) failed")
         return 3

@@ -8,7 +8,9 @@ below the step size.
 
 imex_step is the one step: the stage-value form, which also returns the stage
 states the adjoint sweep transposes.  The algebraically equivalent slope form
-is a test oracle (tests/oracles.py), not library code.
+is a test oracle (tests/oracles.py), not library code.  _march is the one
+step loop: solve_forward keeps what the adjoint reads from it, and
+export_trajectory writes its frames as they are reached.
 
 A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
 built once with the pair: the nonzero entries as Python floats, so a step
@@ -17,14 +19,15 @@ Finite values are checked once per step, on the result, with one sum per
 field; only a non-finite sum pays for the elementwise scan, and a failure
 names the first non-finite stage (see DivergenceError).  The stage states
 and the result are built without re-validating arrays the step just made
-(core._pair), and solve_forward enters np.errstate once per solve, not once
-per step.  None of this touches an element's floating-point operations or
-their order, so results are bit-identical to the per-stage formulation kept
-in tests/oracles.py.
+(core._pair), and a solve enters np.errstate once, not once per step.  None
+of this touches an element's floating-point operations or their order, so
+results are bit-identical to the per-stage formulation kept in
+tests/oracles.py.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -69,20 +72,21 @@ class StoredStage:
 
 @dataclass
 class Trajectory:
-    """Forward solve record: step states, per-step stage states, and solve metadata.
+    """Forward solve record: the final state, per-step stage states, and solve metadata.
 
-    A full record (store_stages=True) has steps[n] at times[n] for every n,
-    and stages[n] holds the s stages (StoredStage) used to advance from
-    steps[n] to steps[n+1]; the adjoint sweep and export_trajectory need it.
-    A stored stage keeps its v only when op is not linear (muscl2), where
-    the transport transpose reads it; under upwind1 the record keeps each
-    stage's u alone.  Stage 0 takes no terms, so its u is steps[n]'s own
-    array, and a one-stage (imex-euler) record keeps no stage array at all.
-    A final-only record (store_stages=False) has steps == [y_T] and
-    stages == [].  Either way steps[-1] is the state at times[-1] = t_final
-    and n_steps counts the steps taken.  dts[n] = times[n+1] - times[n] is
-    kept explicitly so the backward sweep reuses the exact forward step
-    sizes.  The pair is tab and the relaxation speed is op.a.
+    steps == [y_T], the state at times[-1] = t_final, whatever the record
+    kind; no intermediate step state is kept, since no sweep reads one.  A
+    full record (store_stages=True) also has stages[n], the s stages
+    (StoredStage) used to advance from step n to step n+1, which the
+    adjoint sweep transposes.  A stored stage keeps its v only when op is
+    not linear (muscl2), where the transport transpose reads it; under
+    upwind1 the record keeps each stage's u alone.  Stage 0 takes no terms,
+    so its u is step n's own u array, the only part of that step state the
+    record keeps.  A final-only record (store_stages=False) has
+    stages == [].  n_steps counts the steps taken, and dts[n] =
+    times[n+1] - times[n] is kept explicitly so the backward sweep reuses
+    the exact forward step sizes.  The pair is tab and the relaxation speed
+    is op.a.
     """
 
     times: np.ndarray
@@ -206,23 +210,12 @@ def _plan_steps(t_final: float, h: float) -> np.ndarray:
     return dts
 
 
-def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
-                  store_stages: bool = True, dt: Optional[float] = None) -> Trajectory:
-    """Integrate the relaxation system from v = f(u0) to problem.t_final.
+def _initial_record(problem, tab: ImexTableau, u0: np.ndarray,
+                    dt: Optional[float]) -> Trajectory:
+    """The checked record at time 0 that solve_forward and export_trajectory march from.
 
-    `problem` supplies grid, model, relax (config), t_final, c_cfl, scheme and
-    limiter.  The step size follows the CFL rule h = c_cfl * dx / a unless
-    `dt` overrides it (used by the temporal order studies); the last step is
-    shortened to land on t_final exactly.  The relaxation speed a comes from
-    problem.relax.a when set, else it is recomputed from u0.  A non-finite
-    stage raises DivergenceError with its step, stage and the time at the
-    start of that step.
-
-    With store_stages=True the trajectory keeps every step state and every
-    stage, which solve_adjoint and export_trajectory need; a stage keeps
-    only what the adjoint reads (StoredStage: its u, and its v unless
-    op.linear).  With store_stages=False it keeps only the final state
-    (steps == [y_T]), so its memory does not grow with the number of steps.
+    steps == [y_0] and stages == []; times, dts, h, op and the rest already
+    describe the whole solve.
     """
     grid: Grid = problem.grid
     model: FluxModel = problem.model
@@ -250,53 +243,97 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
     times = np.concatenate([[0.0], np.cumsum(dts)]) if len(dts) else np.zeros(1)
     if abs(times[-1] - t_final) > 1e-12 * max(1.0, t_final):
         raise AssertionError("step planning failed to land on t_final")
-    y = relax_init(u0, model)
-    steps = [y]
-    stages: List[List[StoredStage]] = []
-    keep_v = not op.linear   # only a nonlinear transport transpose reads a stage's v
-    # overflow is reported through DivergenceError, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, hn in enumerate(dts):
-            try:
-                y, stage_states = imex_step(tab, op, model, relax.epsilon, y, float(hn),
-                                            step_index=n)
-            except DivergenceError as err:
-                # imex_step knows the step index, not the time; add the step's start time
-                raise DivergenceError(err.step, err.stage, float(times[n])) from None
-            if store_stages:
-                steps.append(y)
-                stages.append([StoredStage(st.u, st.v if keep_v else None)
-                               for st in stage_states])
-            else:
-                steps[0] = y
-    return Trajectory(times=times, steps=steps, stages=stages, h=h,
+    return Trajectory(times=times, steps=[relax_init(u0, model)], stages=[], h=h,
                       epsilon=relax.epsilon, dts=dts, tab=tab, op=op, model=model)
 
 
-def export_trajectory(traj: Trajectory, path: str, stride: int = 1,
-                      header: Optional[str] = None) -> None:
-    """Write the trajectory as CSV rows (t, x, u, v), one row per cell per saved frame.
+def _march(traj: Trajectory):
+    """Yield (y_{n+1}, stage states of step n) for every step of traj, from traj.steps[0].
 
-    Every stride-th frame is written and the final frame always included.
-    `header` is an optional provenance comment emitted as a leading '# ' line.
-    The trajectory must be a full record (solved with store_stages=True).
+    The one step loop.  It keeps no state but the current one, and enters no
+    np.errstate: a consumer holds that around its whole loop, so overflow is
+    reported through DivergenceError, which gets the failing step's start
+    time here.
+    """
+    tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
+    y = traj.steps[0]
+    for n, hn in enumerate(traj.dts):
+        try:
+            y, stage_states = imex_step(tab, op, model, eps, y, float(hn), step_index=n)
+        except DivergenceError as err:
+            # imex_step knows the step index, not the time; add the step's start time
+            raise DivergenceError(err.step, err.stage, float(traj.times[n])) from None
+        yield y, stage_states
+
+
+def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
+                  store_stages: bool = True, dt: Optional[float] = None) -> Trajectory:
+    """Integrate the relaxation system from v = f(u0) to problem.t_final.
+
+    `problem` supplies grid, model, relax (config), t_final, c_cfl, scheme and
+    limiter.  The step size follows the CFL rule h = c_cfl * dx / a unless
+    `dt` overrides it (used by the temporal order studies); the last step is
+    shortened to land on t_final exactly.  The relaxation speed a comes from
+    problem.relax.a when set, else it is recomputed from u0.  A non-finite
+    stage raises DivergenceError with its step, stage and the time at the
+    start of that step.
+
+    Either way the trajectory keeps only the final state, steps == [y_T].
+    With store_stages=True it also keeps every step's stages, which
+    solve_adjoint needs; a stage keeps only what the adjoint reads
+    (StoredStage: its u, and its v unless op.linear).  With
+    store_stages=False it keeps no stages (stages == []), so its memory does
+    not grow with the number of steps.
+    """
+    traj = _initial_record(problem, tab, u0, dt)
+    keep_v = not traj.op.linear   # only a nonlinear transport transpose reads a stage's v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y, stage_states in _march(traj):
+            traj.steps[0] = y
+            if store_stages:
+                traj.stages.append([StoredStage(st.u, st.v if keep_v else None)
+                                    for st in stage_states])
+    return traj
+
+
+def export_trajectory(problem, tab: ImexTableau, u0: np.ndarray, path: str,
+                      stride: int = 1, header: Optional[str] = None) -> Trajectory:
+    """Solve as solve_forward does and write the solution as CSV rows (t, x, u, v).
+
+    One row per cell per saved frame: every stride-th step state from time 0,
+    and the final one always.  `header` is an optional provenance comment
+    emitted as a leading '# ' line.  Each frame is written as soon as the
+    solve reaches it, so memory does not grow with the number of steps or
+    frames.  The rows go to a temporary file beside `path`, which replaces
+    `path` only when the solve completes; a solve that raises (such as
+    DivergenceError) removes it and leaves `path` as it was.  Returns the
+    final-only Trajectory (steps == [y_T], stages == []).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if len(traj.steps) != len(traj.times):
-        raise ValueError("trajectory keeps only its final state; "
-                         "rerun solve_forward with store_stages=True to export frames")
-    n = traj.grid.n_cells
+    traj = _initial_record(problem, tab, u0, None)
     xs = traj.grid.centers
-    frames = list(range(0, len(traj.times), stride))
-    if frames[-1] != len(traj.times) - 1:
-        frames.append(len(traj.times) - 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("t,x,u,v\n")
-        for f in frames:
-            t = float(traj.times[f])
-            st = traj.steps[f]
-            for i in range(n):
-                fh.write(f"{t!r},{float(xs[i])!r},{float(st.u[i])!r},{float(st.v[i])!r}\n")
+    last = traj.n_steps
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh, np.errstate(over="ignore", invalid="ignore"):
+            if header:
+                fh.write(f"# {header}\n")
+            fh.write("t,x,u,v\n")
+            _write_frame(fh, traj.times[0], xs, traj.steps[0])
+            for n, (y, _) in enumerate(_march(traj), start=1):
+                traj.steps[0] = y
+                if n % stride == 0 or n == last:
+                    _write_frame(fh, traj.times[n], xs, y)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return traj
+
+
+def _write_frame(fh, t, xs: np.ndarray, y: RelaxState) -> None:
+    t = float(t)
+    for x, u, v in zip(xs.tolist(), y.u.tolist(), y.v.tolist()):
+        fh.write(f"{t!r},{x!r},{u!r},{v!r}\n")

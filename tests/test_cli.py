@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,17 +78,18 @@ def test_check_reports_orders_and_passes(capsys):
     assert "forward order 2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tableau, used", [("ars-222", "ark,xi"), ("ars-443", "xi,xi")],
-                         ids=["ars-222", "ars-443"])
-def test_check_names_the_adjoint_forms_it_compared(tableau, used, capsys):
-    # ars-443 has a zero weight, so its default sweep falls back to xi
+@pytest.mark.parametrize("tableau, row", [
+    ("ars-222", r"ok \(max gradient difference = \S+ over ark,xi\)"),
+    # ars-443 has a zero weight, so every sweep falls back to xi: nothing to compare
+    ("ars-443", r"skip \(a zero weight leaves only the xi form\)"),
+], ids=["ars-222", "ars-443"])
+def test_check_names_the_adjoint_forms_it_compared(tableau, row, capsys):
     assert main(["check", "--tableau", tableau]) == 0
     check_lines = [ln for ln in capsys.readouterr().out.splitlines()
                    if ln.startswith("check ")]
     assert len(check_lines) == 4
-    row = next(ln for ln in check_lines if ln.startswith("check adjoint-form-equivalence"))
-    assert row.startswith("check adjoint-form-equivalence: ok (max gradient difference = ")
-    assert row.endswith(f" over {used})")
+    got = next(ln for ln in check_lines if ln.startswith("check adjoint-form-equivalence"))
+    assert re.fullmatch(f"check adjoint-form-equivalence: {row}", got)
 
 
 def test_check_rejects_perturbed_weights(tmp_path, capsys):
@@ -113,6 +115,8 @@ def test_divergent_run_exit_code(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    # the frames streamed before the divergence are removed with their file
+    assert list(tmp_path.iterdir()) == []
     # a descent iterate that outruns the frozen speed exits 2 before any NaN
     rc = main(["optimize", "--n-cells", "300", "--alpha", "0.9",
                "--output-dir", str(tmp_path)])

@@ -216,7 +216,9 @@ def test_trajectory_lands_on_t_final():
     prob = Problem(g, model, cfg, t_final=0.77)
     traj = solve_forward(prob, builtin_tableau("imex-euler"), u0)
     assert abs(traj.times[-1] - 0.77) <= 1e-12
-    assert len(traj.steps) == traj.n_steps + 1
+    assert len(traj.times) == traj.n_steps + 1
+    # the record keeps the state at times[-1] alone, whatever its kind
+    assert len(traj.steps) == 1
     # every nominal step except possibly the last has size h
     assert np.all(traj.dts[:-1] == traj.h)
     assert traj.dts[-1] <= traj.h + 1e-15
@@ -259,35 +261,48 @@ _RECORD_CASES = ([pytest.param(name, "muscl2", id=name) for name in builtin_name
                     for name in builtin_names()])
 
 
+def _chain(tab, op, model, eps, u0, dts):
+    """imex_step chained from y_0 over dts: the step states and each step's stages."""
+    ys, stages = [relax_init(u0, model)], []
+    for hn in dts:
+        y, st = imex_step(tab, op, model, eps, ys[-1], float(hn))
+        ys.append(y)
+        stages.append(st)
+    return ys, stages
+
+
 @pytest.mark.parametrize("name, scheme", _RECORD_CASES)
 def test_full_record_replays_bitwise(name, scheme):
     # a stage combination that wrote into an array it shares with a stored
-    # step or stage state would change the record after the fact; a stored
-    # stage keeps its v only where the transport transpose reads it (muscl2)
+    # stage would change the record after the fact; a stored stage keeps its
+    # v only where the transport transpose reads it (muscl2)
     eps = 1.0 if name == "bpr-343" else 1e-6
     g, model, u0, cfg = _setup(n=24, eps=eps)
     prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
     tab = builtin_tableau(name)
     traj = solve_forward(prob, tab, u0, store_stages=True)
     assert traj.op.linear == (scheme == "upwind1")
-    for n in range(traj.n_steps):
-        y1, stages = imex_step(tab, traj.op, model, eps, traj.steps[n], float(traj.dts[n]))
-        assert np.array_equal(y1.u, traj.steps[n + 1].u)
-        assert np.array_equal(y1.v, traj.steps[n + 1].v)
-        assert len(traj.stages[n]) == tab.s
-        assert traj.stages[n][0].u is traj.steps[n].u   # stage 0 shares the step's u
-        for got, kept in zip(stages, traj.stages[n]):
-            assert np.array_equal(got.u, kept.u)
+    ys, chained = _chain(tab, traj.op, model, eps, u0, traj.dts)
+    assert len(traj.steps) == 1
+    assert np.array_equal(traj.steps[0].u, ys[-1].u)
+    assert np.array_equal(traj.steps[0].v, ys[-1].v)
+    assert len(traj.stages) == traj.n_steps
+    for n, (got, kept) in enumerate(zip(chained, traj.stages)):
+        assert len(kept) == tab.s
+        assert np.array_equal(kept[0].u, ys[n].u)   # stage 0 is the step's u
+        for st, k in zip(got, kept):
+            assert np.array_equal(st.u, k.u)
             if traj.op.linear:
-                assert kept.v is None
+                assert k.v is None
             else:
-                assert np.array_equal(got.v, kept.v)
+                assert np.array_equal(st.v, k.v)
 
 
 def test_stored_linear_record_keeps_no_stage_v():
-    # bpr-343 under upwind1: per step the record keeps the step state (u, v)
-    # and the u of stages 1 and 2; the v of all three stages would add
-    # 3 * n * 8 B more per step
+    # bpr-343 under upwind1: per step the record keeps the u of its three
+    # stages (stage 0's is the step state's u), plus y_T; the v of each step
+    # state would add n * 8 B more per step, and each array's Python objects
+    # add about 0.3 of that
     n = 256
     g, model, u0, cfg = _setup(n=n, eps=1.0, a=1.8)
     prob = Problem(g, model, cfg, t_final=1.0)
@@ -300,26 +315,30 @@ def test_stored_linear_record_keeps_no_stage_v():
         tracemalloc.stop()
     steps = traj.n_steps
     assert steps == 147
-    kept = ((steps + 1) * 2 + steps * (tab.s - 1)) * n * 8
-    with_v = kept + steps * tab.s * n * 8
-    assert held < kept + 0.25 * (with_v - kept)
+    kept = (steps * tab.s + 2) * n * 8
+    assert held < kept + 0.5 * steps * n * 8
 
 
 @pytest.mark.parametrize("name, scheme", _RECORD_CASES)
 def test_record_arrays_own_their_data(name, scheme):
     # the stencils work in padded buffers; a view of one kept by a record
-    # would hold the whole buffer for as long as the record lives
+    # would hold the whole buffer for as long as the record lives.  Per step
+    # a full record holds the s stage u arrays, and their v under muscl2,
+    # plus y_T: no step state's v, and no array twice
     eps = 1.0 if name == "bpr-343" else 1e-6
     g, model, u0, cfg = _setup(n=24, eps=eps)
     prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
     tab = builtin_tableau(name)
     traj = solve_forward(prob, tab, u0, store_stages=True)
-    y1, stages = imex_step(tab, traj.op, model, eps, traj.steps[0], float(traj.dts[0]))
-    kept = [y1.u, y1.v]
-    kept += [arr for st in traj.steps for arr in (st.u, st.v)]
-    kept += [arr for step in traj.stages for st in step for arr in (st.u, st.v)
-             if arr is not None]
-    assert len(kept) > 2 * (traj.n_steps + 2)
+    y1, stages = imex_step(tab, traj.op, model, eps, relax_init(u0, model),
+                           float(traj.dts[0]))
+    # every array the record holds, once each
+    held = {id(a): a for st in traj.steps for a in (st.u, st.v)}
+    held.update((id(a), a) for step in traj.stages for st in step
+                for a in (st.u, st.v) if a is not None)
+    per_stage = 1 if traj.op.linear else 2
+    assert len(held) == traj.n_steps * tab.s * per_stage + 2
+    kept = [*held.values(), y1.u, y1.v, *(a for st in stages for a in (st.u, st.v))]
     for arr in kept:
         assert arr.base is None
 
@@ -513,36 +532,59 @@ def test_spatial_self_convergence_through_solver():
     assert 1.6 <= ratio <= 2.4
 
 
+def _csv_frames(body, n_cells):
+    """The (t, x, u, v) rows of an exported trajectory, one array per frame."""
+    rows = np.array([[float(x) for x in line.split(",")] for line in body])
+    return [rows[k:k + n_cells] for k in range(0, len(rows), n_cells)]
+
+
 def test_export_trajectory_schema_and_stride(tmp_path):
+    # frames are streamed from the one step loop; each equals the state
+    # imex_step reaches when chained from y_0, bit for bit, under both schemes
     g, model, u0, cfg = _setup(n=8)
-    prob = Problem(g, model, cfg, t_final=0.1)
-    traj = solve_forward(prob, builtin_tableau("imex-euler"), u0,
-                         store_stages=True)
+    tab = builtin_tableau("ars-222")
+    for scheme in ("upwind1", "muscl2"):
+        prob = Problem(g, model, cfg, t_final=1.5, scheme=scheme)
+        ref = solve_forward(prob, tab, u0, store_stages=False)
+        ys, _ = _chain(tab, ref.op, model, cfg.epsilon, u0, ref.dts)
+        assert ref.n_steps == 7 and ref.dts[-1] < ref.h   # the last step is short
+        for stride in (1, 3, ref.n_steps + 1):
+            path = tmp_path / f"{scheme}-{stride}.csv"
+            traj = export_trajectory(prob, tab, u0, str(path), stride=stride,
+                                     header="run 1")
+            lines = path.read_text().splitlines()
+            assert lines[0] == "# run 1"
+            assert lines[1] == "t,x,u,v"
+            frames = [*range(0, ref.n_steps + 1, stride)]
+            if frames[-1] != ref.n_steps:
+                frames.append(ref.n_steps)
+            got = _csv_frames(lines[2:], g.n_cells)
+            assert len(got) == len(frames)
+            for rows, k in zip(got, frames):
+                assert np.all(rows[:, 0] == ref.times[k])
+                assert np.array_equal(rows[:, 1], g.centers)
+                assert np.array_equal(rows[:, 2], ys[k].u)
+                assert np.array_equal(rows[:, 3], ys[k].v)
+            # the returned record is the final-only one solve_forward gives
+            assert traj.stages == [] and len(traj.steps) == 1
+            assert np.array_equal(traj.times, ref.times)
+            assert np.array_equal(traj.steps[0].u, ref.steps[0].u)
+            assert np.array_equal(traj.steps[0].v, ref.steps[0].v)
+            # deterministic output: a second export is byte-for-byte identical
+            again = tmp_path / "again.csv"
+            export_trajectory(prob, tab, u0, str(again), stride=stride, header="run 1")
+            assert path.read_bytes() == again.read_bytes()
+    # no temporary file is left beside the outputs
+    assert len(list(tmp_path.iterdir())) == 1 + 2 * 3
+
+
+def test_diverging_export_leaves_the_path_as_it_was(tmp_path):
+    # frames go to a temporary file that replaces path only on success
+    g, model, u0, cfg = _setup(n=60)
+    prob = Problem(g, model, cfg, t_final=20.0, c_cfl=10.0)
     path = tmp_path / "traj.csv"
-    export_trajectory(traj, str(path), stride=3, header="run 1")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# run 1"
-    assert lines[1] == "t,x,u,v"
-    body = lines[2:]
-    assert len(body) % g.n_cells == 0
-    times = sorted({float(row.split(",")[0]) for row in body})
-    expected = sorted({traj.times[k] for k in range(0, len(traj.times), 3)}
-                      | {traj.times[-1]})
-    assert np.allclose(times, expected, atol=0.0, rtol=0.0)
-    first = body[0].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == g.centers[0]
-    assert float(first[2]) == u0[0]
-    # deterministic output: a second export is byte-for-byte identical
-    path2 = tmp_path / "traj2.csv"
-    export_trajectory(traj, str(path2), stride=3, header="run 1")
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_export_trajectory_needs_the_full_record(tmp_path):
-    g, model, u0, cfg = _setup(n=8)
-    prob = Problem(g, model, cfg, t_final=0.1)
-    traj = solve_forward(prob, builtin_tableau("imex-euler"), u0,
-                         store_stages=False)
-    with pytest.raises(ValueError, match="store_stages=True"):
-        export_trajectory(traj, str(tmp_path / "traj.csv"))
+    path.write_text("earlier run\n")
+    with pytest.raises(DivergenceError):
+        export_trajectory(prob, builtin_tableau("imex-euler"), u0, str(path))
+    assert path.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
