@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import FluxModel, RelaxState, _pair
 from .forward import StoredStage, Trajectory, _accumulate
+from .output import write_csv
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau
 
@@ -258,9 +259,6 @@ def assemble_gradient(record: AdjointSweepRecord, u0: np.ndarray,
 def export_gradient(grid, u0: np.ndarray, grad: np.ndarray, path: str,
                     header: Optional[str] = None) -> None:
     """Write the control and its gradient as CSV rows (i, x, u0, grad)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("i,x,u0,grad\n")
-        for i in range(grid.n_cells):
-            fh.write(f"{i},{float(grid.centers[i])!r},{float(u0[i])!r},{float(grad[i])!r}\n")
+    write_csv(path, ("i", "x", "u0", "grad"),
+              zip(range(grid.n_cells), grid.centers, np.asarray(u0, float),
+                  np.asarray(grad, float)), comments=(header,))

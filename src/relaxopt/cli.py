@@ -20,13 +20,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import RelaxConfig, RelaxState, burgers_model, make_grid, subchar_speed
-from .tableau import (ImexTableau, TableauParseError, builtin_tableau,
-                      check_order, load_tableau_file)
+from .core import RelaxConfig, RelaxState, burgers_model, make_grid
+from .tableau import ImexTableau, builtin_tableau, check_order, load_tableau_file
 from .spatial import apply_dx_linearized, apply_dx_transpose
 from .forward import DivergenceError, solve_forward, export_trajectory
 from .adjoint import FORMS, solve_adjoint, assemble_gradient
-from .optimize import ControlProblem, SubcharacteristicError, steepest_descent, export_trace
+from .optimize import (ControlProblem, SubcharacteristicError, _frozen_speed_problem,
+                       export_trace, steepest_descent)
+from .output import write_csv
 from .studies import (_default_u0, gradient_report, temporal_order_study,
                       tracking_problem, tracking_table, export_order_study,
                       export_tracking_table)
@@ -54,7 +55,6 @@ class RunConfig:
     c_cfl: float = 0.5
     tableau: str = "imex-euler"
     scheme: str = "upwind1"
-    limiter: str = "minmod"
     alpha: float = 0.097
     tol: float = 1e-2
     max_iter: int = 500
@@ -182,7 +182,7 @@ def _base_problem(cfg: RunConfig, tab: ImexTableau, n_cells: int) -> ControlProb
     relax = RelaxConfig(epsilon=cfg.epsilon, safety=cfg.safety, a_floor=cfg.a_floor)
     return ControlProblem(grid=grid, model=burgers_model(), relax=relax,
                           t_final=cfg.t_final, u_d=np.zeros(n_cells), tableau=tab,
-                          c_cfl=cfg.c_cfl, scheme=cfg.scheme, limiter=cfg.limiter)
+                          c_cfl=cfg.c_cfl, scheme=cfg.scheme)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -210,11 +210,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     trace_path = _out_path(cfg, "trace.csv")
     export_trace(report, trace_path, header=header)
     control_path = _out_path(cfg, "control.csv")
-    with open(control_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("i,x,u0\n")
-        for i in range(grid.n_cells):
-            fh.write(f"{i},{float(grid.centers[i])!r},{float(u0[i])!r}\n")
+    write_csv(control_path, ("i", "x", "u0"), zip(range(grid.n_cells), grid.centers, u0),
+              comments=(header,))
     print(f"optimize {tab.name} N={grid.n_cells}: converged={report.converged} "
           f"iterations={report.iterations} final_cost={report.final_cost:.6e}")
     print(f"wrote {trace_path}")
@@ -238,8 +235,7 @@ def _check_battery(cfg: RunConfig, tab: ImexTableau) -> List[tuple]:
                                   u_d=np.full(50, 0.5))
     grid, model = problem.grid, problem.model
     u0 = _default_u0(grid.centers)
-    a = subchar_speed(model, u0, problem.relax)
-    problem = dataclasses.replace(problem, relax=dataclasses.replace(problem.relax, a=a))
+    problem = _frozen_speed_problem(problem, u0)
     traj = solve_forward(problem, tab, u0, store_stages=True)
 
     rng = np.random.default_rng(cfg.seed)
@@ -344,8 +340,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors main reports with exit code 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relaxopt",
         description="Optimal control of scalar conservation laws via relaxation.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -362,16 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args, args.command)
         _validate(cfg)
         return _COMMANDS[args.command](cfg)
-    except TableauParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:   # TableauParseError and usage errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, SubcharacteristicError) as exc:

@@ -27,13 +27,14 @@ tests/oracles.py.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
 
 from .core import FluxModel, Grid, RelaxState, _pair, relax_init, subchar_speed
+from .output import write_csv
 from .spatial import SpatialOp, apply_dx
 from .tableau import ImexTableau
 
@@ -228,8 +229,7 @@ def _initial_record(problem, tab: ImexTableau, u0: np.ndarray,
         raise ValueError(f"u0 has shape {u0.shape}, expected ({grid.n_cells},)")
 
     a = relax.a if relax.a is not None else subchar_speed(model, u0, relax)
-    op = SpatialOp(grid, a, getattr(problem, "scheme", "upwind1"),
-                   getattr(problem, "limiter", "minmod"))
+    op = SpatialOp(grid, a, problem.scheme)
     if dt is not None:
         if not dt > 0:
             raise ValueError(f"dt override must be positive, got {dt}")
@@ -270,8 +270,8 @@ def solve_forward(problem, tab: ImexTableau, u0: np.ndarray,
                   store_stages: bool = True, dt: Optional[float] = None) -> Trajectory:
     """Integrate the relaxation system from v = f(u0) to problem.t_final.
 
-    `problem` supplies grid, model, relax (config), t_final, c_cfl, scheme and
-    limiter.  The step size follows the CFL rule h = c_cfl * dx / a unless
+    `problem` supplies grid, model, relax (config), t_final, c_cfl and
+    scheme.  The step size follows the CFL rule h = c_cfl * dx / a unless
     `dt` overrides it (used by the temporal order studies); the last step is
     shortened to land on t_final exactly.  The relaxation speed a comes from
     problem.relax.a when set, else it is recomputed from u0.  A non-finite
@@ -302,38 +302,26 @@ def export_trajectory(problem, tab: ImexTableau, u0: np.ndarray, path: str,
 
     One row per cell per saved frame: every stride-th step state from time 0,
     and the final one always.  `header` is an optional provenance comment
-    emitted as a leading '# ' line.  Each frame is written as soon as the
-    solve reaches it, so memory does not grow with the number of steps or
-    frames.  The rows go to a temporary file beside `path`, which replaces
-    `path` only when the solve completes; a solve that raises (such as
-    DivergenceError) removes it and leaves `path` as it was.  Returns the
-    final-only Trajectory (steps == [y_T], stages == []).
+    emitted as a leading '# ' line.  The rows stream through write_csv as the
+    solve reaches each frame, so memory does not grow with the number of
+    steps or frames, and `path` is replaced only when the solve completes: a
+    solve that raises (such as DivergenceError) leaves it as it was.
+    Returns the final-only Trajectory (steps == [y_T], stages == []).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     traj = _initial_record(problem, tab, u0, None)
-    xs = traj.grid.centers
+    xs = traj.grid.centers.tolist()
     last = traj.n_steps
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
-    try:
-        with fh, np.errstate(over="ignore", invalid="ignore"):
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("t,x,u,v\n")
-            _write_frame(fh, traj.times[0], xs, traj.steps[0])
-            for n, (y, _) in enumerate(_march(traj), start=1):
-                traj.steps[0] = y
-                if n % stride == 0 or n == last:
-                    _write_frame(fh, traj.times[n], xs, y)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+
+    def rows():
+        for n, (y, _) in enumerate(chain([(traj.steps[0], None)], _march(traj))):
+            traj.steps[0] = y
+            if n % stride == 0 or n == last:
+                t = float(traj.times[n])
+                for x, u, v in zip(xs, y.u.tolist(), y.v.tolist()):
+                    yield t, x, u, v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_csv(path, ("t", "x", "u", "v"), rows(), comments=(header,))
     return traj
-
-
-def _write_frame(fh, t, xs: np.ndarray, y: RelaxState) -> None:
-    t = float(t)
-    for x, u, v in zip(xs.tolist(), y.u.tolist(), y.v.tolist()):
-        fh.write(f"{t!r},{x!r},{u!r},{v!r}\n")

@@ -16,6 +16,7 @@ import numpy as np
 from .adjoint import assemble_gradient, solve_adjoint
 from .core import FluxModel, Grid, RelaxConfig, subchar_speed
 from .forward import solve_forward
+from .output import write_csv
 from .tableau import ImexTableau, builtin_tableau
 
 
@@ -36,7 +37,6 @@ class ControlProblem:
     tableau: Union[str, ImexTableau]
     c_cfl: float = 0.5
     scheme: str = "upwind1"
-    limiter: str = "minmod"
 
     def __post_init__(self):
         object.__setattr__(self, "u_d", np.asarray(self.u_d, dtype=float))
@@ -103,17 +103,19 @@ def reduced_cost(problem: ControlProblem, u0: np.ndarray) -> float:
     return cost(traj.steps[-1].u, problem.u_d, problem.grid.dx)
 
 
-def _frozen_speed_problem(problem: ControlProblem, u0: np.ndarray) -> ControlProblem:
-    """Freeze the relaxation speed at its value for the base control.
+def _frozen_speed_problem(problem: ControlProblem, *fields: np.ndarray) -> ControlProblem:
+    """Freeze the relaxation speed at the largest speed computed from `fields`.
 
-    Recomputing the speed per perturbed solve would make the discrete
-    objective non-smooth in u0 (the CFL step count and upwinding weights jump
-    with max|f'|), corrupting central differences; the adjoint differentiates
-    the scheme at fixed speed, so fixed speed is the consistent comparison.
+    Does nothing when problem.relax.a is already set.  Recomputing the speed
+    per perturbed solve would make the discrete objective non-smooth in u0
+    (the CFL step count and upwinding weights jump with max|f'|), corrupting
+    central differences; the adjoint differentiates the scheme at fixed
+    speed, so fixed speed is the consistent comparison.
     """
     if problem.relax.a is not None:
         return problem
-    a = subchar_speed(problem.model, np.asarray(u0, float), problem.relax)
+    a = max(subchar_speed(problem.model, np.asarray(f, float), problem.relax)
+            for f in fields)
     return replace(problem, relax=replace(problem.relax, a=a))
 
 
@@ -165,10 +167,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     tab = problem.resolve_tableau()
     dx = problem.grid.dx
     u0 = np.asarray(u0_start, dtype=float).copy()
-    if problem.relax.a is None:
-        a = max(subchar_speed(problem.model, u0, problem.relax),
-                subchar_speed(problem.model, problem.u_d, problem.relax))
-        problem = replace(problem, relax=replace(problem.relax, a=a))
+    problem = _frozen_speed_problem(problem, u0, problem.u_d)
     a = problem.relax.a
 
     t_start = time.perf_counter()
@@ -221,11 +220,9 @@ def export_trace(report: OptimizerReport, path: str, header: Optional[str] = Non
     was computed).  wall_time_s is cumulative and the only nondeterministic
     column.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("iter,cost,grad_norm,wall_time_s\n")
-        for k, c in enumerate(report.cost_history):
-            gn = repr(report.grad_norm_history[k]) if k < len(report.grad_norm_history) else "nan"
-            wt = repr(report.iter_wall_times[k - 1]) if 0 < k <= len(report.iter_wall_times) else repr(0.0)
-            fh.write(f"{k},{c!r},{gn},{wt}\n")
+    norms, times = report.grad_norm_history, report.iter_wall_times
+    rows = ((k, c, norms[k] if k < len(norms) else float("nan"),
+             times[k - 1] if 0 < k <= len(times) else 0.0)
+            for k, c in enumerate(report.cost_history))
+    write_csv(path, ("iter", "cost", "grad_norm", "wall_time_s"), rows,
+              comments=(header,))

@@ -59,18 +59,15 @@ SCHEMES = ("upwind1", "muscl2")
 
 @dataclass(frozen=True)
 class SpatialOp:
-    """Transport discretization: grid, frozen speed a, scheme and slope limiter."""
+    """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod)."""
 
     grid: Grid
     a: float
     scheme: str = "upwind1"
-    limiter: str = "minmod"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}'; available: {', '.join(SCHEMES)}")
-        if self.limiter != "minmod":
-            raise ValueError(f"unknown limiter '{self.limiter}'; available: minmod")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
 

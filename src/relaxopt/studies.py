@@ -13,12 +13,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import make_grid, subchar_speed
+from .core import make_grid
 from .tableau import ImexTableau, builtin_tableau, check_order
 from .forward import solve_forward
 from .adjoint import solve_adjoint, assemble_gradient
 from .optimize import (ControlProblem, steepest_descent, fd_gradient,
                        _frozen_speed_problem)
+from .output import write_csv
 
 __all__ = [
     "OrderStudyResult", "TrackingTableRow", "GradientReport",
@@ -26,10 +27,6 @@ __all__ = [
     "gradient_report",
     "export_order_study", "export_tracking_table", "export_gradient_report",
 ]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 @dataclass
@@ -204,12 +201,8 @@ def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
     """
     grid = make_grid(template.grid.x_min, template.grid.x_max, int(n_cells))
     target_src = _default_u0(grid.centers)
-    relax = template.relax
-    if relax.a is None:
-        relax = dataclasses.replace(
-            relax, a=subchar_speed(template.model, target_src, relax))
-    probe = dataclasses.replace(template, grid=grid, relax=relax,
-                                u_d=np.zeros(grid.n_cells))
+    probe = _frozen_speed_problem(
+        dataclasses.replace(template, grid=grid, u_d=np.zeros(grid.n_cells)), target_src)
     traj = solve_forward(probe, probe.resolve_tableau(), target_src,
                          store_stages=False)
     return dataclasses.replace(probe, u_d=traj.steps[-1].u)
@@ -279,43 +272,27 @@ def export_order_study(results: Sequence[OrderStudyResult], path: str,
     sequences, so each row carries one error and leaves the other column
     empty.
     """
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("tableau,h,err_forward,err_gradient")
+    rows = []
     for res in results:
-        for h, err in res.levels:
-            lines.append(f"{res.tableau},{_fmt(h)},{_fmt(err)},")
-        for h, err in res.gradient_levels:
-            lines.append(f"{res.tableau},{_fmt(h)},,{_fmt(err)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows += [(res.tableau, h, err, None) for h, err in res.levels]
+        rows += [(res.tableau, h, None, err) for h, err in res.gradient_levels]
+    write_csv(path, ("tableau", "h", "err_forward", "err_gradient"), rows,
+              comments=(header,))
 
 
 def export_tracking_table(rows: Sequence[TrackingTableRow], path: str,
                           header: Optional[str] = None) -> None:
     """CSV with columns N,iterations,wall_s,final_cost."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("N,iterations,wall_s,final_cost")
-    for r in rows:
-        lines.append(f"{r.n_cells},{r.iterations},{_fmt(r.wall_time_s)},{_fmt(r.final_cost)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("N", "iterations", "wall_s", "final_cost"),
+              [(r.n_cells, r.iterations, r.wall_time_s, r.final_cost) for r in rows],
+              comments=(header,))
 
 
 def export_gradient_report(report: GradientReport, path: str,
                            header: Optional[str] = None) -> None:
     """CSV with columns i,x,adjoint_grad,fd_grad,rel_err; summary lines as comments."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(f"# theta={_fmt(report.theta)} max_rel_err={_fmt(report.max_rel_err)}"
-                 f" mean_rel_err={_fmt(report.mean_rel_err)}"
-                 f" richardson={_fmt(report.richardson)}")
-    lines.append("i,x,adjoint_grad,fd_grad,rel_err")
-    for i, x, ga, gf, re in report.rows:
-        lines.append(f"{i},{_fmt(x)},{_fmt(ga)},{_fmt(gf)},{_fmt(re)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    summary = (f"theta={float(report.theta)!r} max_rel_err={float(report.max_rel_err)!r}"
+               f" mean_rel_err={float(report.mean_rel_err)!r}"
+               f" richardson={float(report.richardson)!r}")
+    write_csv(path, ("i", "x", "adjoint_grad", "fd_grad", "rel_err"), report.rows,
+              comments=(header, summary))

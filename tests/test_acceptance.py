@@ -113,7 +113,7 @@ def test_acceptance_4_algebraic_identities():
         h = 0.5 * g.dx / a
         for name in BUILTINS:
             tab = builtin_tableau(name)
-            op = SpatialOp(g, a, "upwind1", "minmod")
+            op = SpatialOp(g, a, "upwind1")
             y1, y2 = relax_init(u0, model), relax_init(u0, model)
             for _ in range(n_steps):
                 y1, _ = imex_step(tab, op, model, eps, y1, h)
@@ -139,7 +139,7 @@ def test_acceptance_4_algebraic_identities():
     rng = np.random.default_rng(0)
     dot_defect = 0.0
     for scheme in ("upwind1", "muscl2"):
-        op = SpatialOp(g, a, scheme, "minmod")
+        op = SpatialOp(g, a, scheme)
         base = RelaxState(u0, np.asarray(model.flux(u0), float))
         z = RelaxState(rng.standard_normal(50), rng.standard_normal(50))
         w = RelaxState(rng.standard_normal(50), rng.standard_normal(50))
@@ -173,7 +173,7 @@ def test_acceptance_4_algebraic_identities():
     ae = subchar_speed(model, ue, relax)
     eq_defect = 0.0
     for name in BUILTINS:
-        ope = SpatialOp(ge, ae, "upwind1", "minmod")
+        ope = SpatialOp(ge, ae, "upwind1")
         y1, _ = imex_step(builtin_tableau(name), ope, model, relax.epsilon,
                           ye, 0.5 * ge.dx / ae)
         eq_defect = max(eq_defect, float(np.max(np.abs(y1.u - ye.u))),

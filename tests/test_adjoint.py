@@ -128,7 +128,7 @@ def test_sweep_is_transpose_of_forward_propagator(tableau):
 
     from types import SimpleNamespace
     prob = SimpleNamespace(grid=g, model=model, relax=cfg, t_final=0.9,
-                           c_cfl=0.5, scheme="upwind1", limiter="minmod")
+                           c_cfl=0.5, scheme="upwind1")
     u0 = np.sin(g.centers)
     traj = solve_forward(prob, tab, u0)
     op = traj.op

@@ -211,6 +211,17 @@ def test_removed_adjoint_form_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'adjoint_form'" in capsys.readouterr().err
 
 
+def test_removed_limiter_option_is_rejected(tmp_path, capsys):
+    # minmod was its only legal value; muscl2 always limits with it
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("limiter = minmod\n")
+    assert main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert "unknown config key 'limiter'" in capsys.readouterr().err
+    assert main(["solve", "--limiter", "minmod", "--output-dir", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --limiter minmod" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_defaults_match_reference_setup():
     cfg = RunConfig()
     assert cfg.n_cells == 300
@@ -232,3 +243,26 @@ def test_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
     assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_outputs_keep_undecodable_path_bytes(tmp_path):
+    # under the POSIX locale with UTF-8 mode off, a UTF-8 path reaches Python
+    # as surrogate escapes; every output still writes it back as its bytes
+    out_dir = tmp_path / "dé"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="POSIX", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    small = ["--n-cells", "16", "--t-final", "0.2", "--output-dir", os.fsencode(out_dir)]
+    for command, extra, name in (("solve", [], "trajectory.csv"),
+                                 ("optimize", ["--max-iter", "1"], "trace.csv"),
+                                 ("tracking-table", ["--grid-sizes", "16", "--max-iter", "1"],
+                                  "tracking.csv")):
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "relaxopt.cli",
+                               command, *extra, *small], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        first = (out_dir / name).read_bytes().split(b"\n", 1)[0]
+        assert b" output_dir=" + os.fsencode(out_dir) + b" " in first
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "control.csv", "trace.csv", "tracking.csv", "trajectory.csv"]

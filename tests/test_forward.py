@@ -47,14 +47,13 @@ class Problem:
     """Minimal duck-typed problem container for solve_forward."""
 
     def __init__(self, grid, model, relax, t_final, c_cfl=0.5,
-                 scheme="upwind1", limiter="minmod"):
+                 scheme="upwind1"):
         self.grid = grid
         self.model = model
         self.relax = relax
         self.t_final = t_final
         self.c_cfl = c_cfl
         self.scheme = scheme
-        self.limiter = limiter
 
 
 def _setup(n=50, eps=1e-6, a=None):

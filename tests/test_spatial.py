@@ -233,8 +233,6 @@ def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         SpatialOp(g, 1.0, scheme="weno5")
     with pytest.raises(ValueError):
-        SpatialOp(g, 1.0, limiter="vanleer")
-    with pytest.raises(ValueError):
         SpatialOp(g, 0.0)
 
 
