@@ -11,13 +11,12 @@ from .forward import (DivergenceError, StoredStage, Trajectory, imex_step, solve
                       export_trajectory)
 from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
                       adjoint_step_ark, adjoint_step_xi, solve_adjoint,
-                      assemble_gradient, export_gradient)
+                      assemble_gradient)
 from .optimize import (ControlProblem, OptimizerReport, SubcharacteristicError, cost,
-                       reduced_cost, fd_gradient, steepest_descent, alpha_sweep,
-                       export_trace)
+                       reduced_cost, fd_gradient, steepest_descent, export_trace)
 from .studies import (OrderStudyResult, TrackingTableRow, GradientReport,
                       fit_order, temporal_order_study, tracking_problem, tracking_table,
-                      gradient_report, export_order_study,
-                      export_tracking_table, export_gradient_report)
+                      gradient_report, consistency_checks, export_order_study,
+                      export_tracking_table)
 
 __version__ = "0.1.0"

@@ -37,13 +37,12 @@ It is bit-identical to the array-indexing version kept in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
 from .core import FluxModel, RelaxState, _pair
 from .forward import StoredStage, Trajectory, _accumulate
-from .output import write_csv
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau
 
@@ -254,11 +253,3 @@ def assemble_gradient(record: AdjointSweepRecord, u0: np.ndarray,
     c0 = record.costates[0]
     u0 = np.asarray(u0, dtype=float)
     return c0.p + np.asarray(model.flux_deriv(u0), float) * c0.q
-
-
-def export_gradient(grid, u0: np.ndarray, grad: np.ndarray, path: str,
-                    header: Optional[str] = None) -> None:
-    """Write the control and its gradient as CSV rows (i, x, u0, grad)."""
-    write_csv(path, ("i", "x", "u0", "grad"),
-              zip(range(grid.n_cells), grid.centers, np.asarray(u0, float),
-                  np.asarray(grad, float)), comments=(header,))

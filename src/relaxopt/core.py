@@ -47,6 +47,8 @@ def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
     n_cells = int(n_cells)
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    if not (np.isfinite(x_min) and np.isfinite(x_max)):
+        raise ValueError(f"grid bounds must be finite, got x_min={x_min}, x_max={x_max}")
     if not x_max > x_min:
         raise ValueError(f"degenerate interval: x_max={x_max} must exceed x_min={x_min}")
     dx = (x_max - x_min) / n_cells

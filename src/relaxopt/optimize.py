@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,10 +43,10 @@ class ControlProblem:
         if self.u_d.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"u_d has shape {self.u_d.shape}, expected ({self.grid.n_cells},)")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
-        if not self.c_cfl > 0:
-            raise ValueError(f"c_cfl must be positive, got {self.c_cfl}")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if not 0 < self.c_cfl < np.inf:
+            raise ValueError(f"c_cfl must be finite and positive, got {self.c_cfl}")
 
     def resolve_tableau(self) -> ImexTableau:
         if isinstance(self.tableau, ImexTableau):
@@ -198,18 +198,6 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
                              grad_norm_history=grad_norms,
                              iter_wall_times=iter_times)
     return u0, report
-
-
-def alpha_sweep(problem: ControlProblem, u0_start: np.ndarray,
-                alphas: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                tol: float = 1e-2, max_iter: int = 500):
-    """Run steepest_descent once per candidate step size; returns (alpha, report) pairs."""
-    out = []
-    for alpha in alphas:
-        _, report = steepest_descent(problem, u0_start, alpha=alpha, tol=tol,
-                                     max_iter=max_iter)
-        out.append((float(alpha), report))
-    return out
 
 
 def export_trace(report: OptimizerReport, path: str, header: Optional[str] = None) -> None:

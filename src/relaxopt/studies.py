@@ -1,4 +1,4 @@
-"""Experiment harness: temporal order studies, tracking tables, gradient reports.
+"""Experiment harness: temporal order studies, tracking tables, gradient checks.
 
 Each study is deterministic given its configuration; re-running reproduces the
 CSV outputs byte-for-byte apart from wall-clock columns.  Studies always emit
@@ -13,10 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import make_grid
+from .core import RelaxState, make_grid
 from .tableau import ImexTableau, builtin_tableau, check_order
+from .spatial import apply_dx_linearized, apply_dx_transpose
 from .forward import solve_forward
-from .adjoint import solve_adjoint, assemble_gradient
+from .adjoint import FORMS, solve_adjoint, assemble_gradient
 from .optimize import (ControlProblem, steepest_descent, fd_gradient,
                        _frozen_speed_problem)
 from .output import write_csv
@@ -24,8 +25,8 @@ from .output import write_csv
 __all__ = [
     "OrderStudyResult", "TrackingTableRow", "GradientReport",
     "fit_order", "temporal_order_study", "tracking_problem", "tracking_table",
-    "gradient_report",
-    "export_order_study", "export_tracking_table", "export_gradient_report",
+    "gradient_report", "consistency_checks",
+    "export_order_study", "export_tracking_table",
 ]
 
 
@@ -69,17 +70,12 @@ class TrackingTableRow:
 
 @dataclass
 class GradientReport:
-    """Componentwise adjoint-vs-FD comparison plus summary statistics.
+    """Adjoint-vs-FD comparison: max_i |adjoint_i - fd_i| / max_j |fd_j|.
 
-    rel_err uses a global denominator max|fd| so near-zero components do not
-    blow up the column; richardson is |g(theta) - g(theta/2)|_inf / 3, an
-    estimate of the FD truncation error at step theta/2.
+    The global denominator max|fd| keeps near-zero components from blowing up
+    the error.
     """
-    rows: List[Tuple[int, float, float, float, float]]   # (i, x, adjoint, fd, rel_err)
     max_rel_err: float
-    mean_rel_err: float
-    theta: float
-    richardson: float
 
 
 def fit_order(levels: Sequence[Tuple[float, float]]) -> Tuple[float, bool]:
@@ -238,12 +234,10 @@ def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
 
 def gradient_report(problem: ControlProblem, u0: np.ndarray,
                     theta: float = 1e-6) -> GradientReport:
-    """Componentwise comparison of the adjoint gradient against central finite differences.
+    """Compare the adjoint gradient against central finite differences with step theta.
 
     The FD baseline freezes the relaxation speed at its u0 value so both
-    gradients differentiate the same discrete map.  The Richardson column is
-    |g_fd(theta) - g_fd(theta/2)|_inf / 3: with an O(theta^2) central stencil
-    this estimates the truncation error remaining at step theta/2.
+    gradients differentiate the same discrete map.
     """
     u0 = np.asarray(u0, dtype=float)
     frozen = _frozen_speed_problem(problem, u0)
@@ -252,16 +246,69 @@ def gradient_report(problem: ControlProblem, u0: np.ndarray,
     rec = solve_adjoint(traj, frozen.u_d)
     g_adj = assemble_gradient(rec, u0, frozen.model)
     g_fd = fd_gradient(problem, u0, theta=theta)
-    g_fd_half = fd_gradient(problem, u0, theta=theta / 2)
     scale = float(np.max(np.abs(g_fd)))
     denom = scale if scale > 0.0 else 1.0
     rel = np.abs(g_adj - g_fd) / denom
-    rows = [(i, float(problem.grid.centers[i]), float(g_adj[i]),
-             float(g_fd[i]), float(rel[i])) for i in range(u0.size)]
-    richardson = float(np.max(np.abs(g_fd - g_fd_half))) / 3.0
-    return GradientReport(rows=rows, max_rel_err=float(np.max(rel)),
-                          mean_rel_err=float(np.mean(rel)), theta=theta,
-                          richardson=richardson)
+    return GradientReport(max_rel_err=float(np.max(rel)))
+
+
+def consistency_checks(template: ControlProblem, tab: ImexTableau, seed: int = 0,
+                       theta: float = 1e-6) -> List[Tuple[str, Optional[bool], str]]:
+    """(name, passed, detail) rows for the pair's weights, transpose, adjoint forms and gradient.
+
+    The problem is the template's with the pair `tab`, target u_d = 0.5 and
+    control 0.5 + sin(x), its relaxation speed frozen at the control's.  The rows, in
+    order: both weight vectors sum to 1 (1e-12); the transpose stencil pairs
+    with the linearized one on random vectors drawn from `seed` (1e-12); the
+    gradients of every adjoint form agree (1e-11); the adjoint gradient
+    matches central differences with step theta (1e-4).  passed is None for
+    the form comparison when a zero weight leaves only the xi form.
+    """
+    checks: List[Tuple[str, Optional[bool], str]] = []
+
+    weight_res = max(abs(float(np.sum(tab.w_tilde)) - 1.0),
+                     abs(float(np.sum(tab.w)) - 1.0))
+    checks.append(("weight-consistency", weight_res <= 1e-12,
+                   f"max |sum(weights) - 1| = {weight_res:.2e}"))
+
+    grid, model = template.grid, template.model
+    u0 = _default_u0(grid.centers)
+    problem = _frozen_speed_problem(
+        dataclasses.replace(template, u_d=np.full(grid.n_cells, 0.5), tableau=tab), u0)
+    traj = solve_forward(problem, tab, u0, store_stages=True)
+
+    rng = np.random.default_rng(seed)
+    z_u, z_v = rng.standard_normal(grid.n_cells), rng.standard_normal(grid.n_cells)
+    w_u, w_v = rng.standard_normal(grid.n_cells), rng.standard_normal(grid.n_cells)
+    base = RelaxState(u0, np.asarray(model.flux(u0), float))
+    fwd = apply_dx_linearized(traj.op, base, RelaxState(z_u, z_v))
+    bwd = apply_dx_transpose(traj.op, RelaxState(w_u, w_v), base=base)
+    lhs = float(w_u @ fwd.u + w_v @ fwd.v)
+    rhs = float(z_u @ bwd.u + z_v @ bwd.v)
+    scale = max(1e-30,
+                float(np.linalg.norm(np.concatenate([z_u, z_v]))
+                      * np.linalg.norm(np.concatenate([w_u, w_v]))))
+    dot_rel = abs(lhs - rhs) / scale
+    checks.append(("transpose-dot-test", dot_rel <= 1e-12,
+                   f"relative defect = {dot_rel:.2e}"))
+
+    if tab.adjoint_coeffs is None:
+        # every sweep falls back to xi, so there is no second form to compare
+        checks.append(("adjoint-form-equivalence", None,
+                       "a zero weight leaves only the xi form"))
+    else:
+        records = [solve_adjoint(traj, problem.u_d, form=form) for form in FORMS]
+        grads = [assemble_gradient(rec, u0, model) for rec in records]
+        form_diff = max(float(np.max(np.abs(g - g_next)))
+                        for g, g_next in zip(grads, grads[1:]))
+        used = ",".join(rec.form_used for rec in records)
+        checks.append(("adjoint-form-equivalence", form_diff <= 1e-11,
+                       f"max gradient difference = {form_diff:.2e} over {used}"))
+
+    rep = gradient_report(problem, u0, theta=theta)
+    checks.append(("gradient-vs-fd", rep.max_rel_err <= 1e-4,
+                   f"max relative error = {rep.max_rel_err:.2e} (theta={theta})"))
+    return checks
 
 
 def export_order_study(results: Sequence[OrderStudyResult], path: str,
@@ -287,12 +334,3 @@ def export_tracking_table(rows: Sequence[TrackingTableRow], path: str,
               [(r.n_cells, r.iterations, r.wall_time_s, r.final_cost) for r in rows],
               comments=(header,))
 
-
-def export_gradient_report(report: GradientReport, path: str,
-                           header: Optional[str] = None) -> None:
-    """CSV with columns i,x,adjoint_grad,fd_grad,rel_err; summary lines as comments."""
-    summary = (f"theta={float(report.theta)!r} max_rel_err={float(report.max_rel_err)!r}"
-               f" mean_rel_err={float(report.mean_rel_err)!r}"
-               f" richardson={float(report.richardson)!r}")
-    write_csv(path, ("i", "x", "adjoint_grad", "fd_grad", "rel_err"), report.rows,
-              comments=(header, summary))

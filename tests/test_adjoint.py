@@ -6,7 +6,7 @@ import pytest
 from relaxopt.core import (RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init)
 from relaxopt.adjoint import (CostateState, adjoint_step_ark, adjoint_step_xi,
-                              assemble_gradient, export_gradient, solve_adjoint,
+                              assemble_gradient, solve_adjoint,
                               terminal_costate)
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
@@ -337,19 +337,3 @@ def test_solve_adjoint_requires_stages():
         traj2 = solve_forward(prob, prob.resolve_tableau(), u0)
         solve_adjoint(traj2, prob.u_d, form="nope")
 
-
-def test_export_gradient_schema(tmp_path):
-    prob, u0 = _tracking_setup(n=8)
-    traj = solve_forward(prob, prob.resolve_tableau(), u0)
-    grad = assemble_gradient(solve_adjoint(traj, prob.u_d), u0, prob.model)
-    path = tmp_path / "grad.csv"
-    export_gradient(prob.grid, u0, grad, str(path), header="case A")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# case A"
-    assert lines[1] == "i,x,u0,grad"
-    assert len(lines) == 2 + 8
-    row = lines[2].split(",")
-    assert row[0] == "0"
-    assert float(row[1]) == prob.grid.centers[0]
-    assert float(row[2]) == u0[0]
-    assert float(row[3]) == grad[0]

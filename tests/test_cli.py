@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from relaxopt.cli import RunConfig, load_config_file, main
+from relaxopt.cli import (_COMMANDS, _FIELDS, _PROBLEM_FIELDS, RunConfig, _build_parser,
+                          load_config_file, main)
 
 PERTURBED_TABLEAU = """\
 # ars-222 with one contaminated weight
@@ -194,6 +195,55 @@ def test_invalid_values_are_named(tmp_path, capsys):
     assert "grid_sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "t_final", "inf"),
+    ("solve", "t_final", "nan"),
+    ("solve", "c_cfl", "inf"),
+    ("check", "theta", "inf"),
+    ("solve", "x_max", "inf"),
+])
+def test_non_finite_values_are_named(command, key, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RELAXOPT_OUTPUT_DIR", raising=False)
+    assert main([command, "--" + key.replace("_", "-"), value]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _unread_flags(command):
+    """Every RunConfig flag `command` does not read, each with a legal value."""
+    reads = _PROBLEM_FIELDS + _COMMANDS[command][1]
+    return [arg for name, field in _FIELDS.items() if name not in reads
+            for arg in ("--" + name.replace("_", "-"), str(field.default))]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--max-iter", "7", "--grid-sizes", "5", "--theta", "3"],
+                 id="solve-max-iter-grid-sizes-theta"),
+    pytest.param(["check", "--n-cells", "100"], id="check-n-cells"),
+    *(pytest.param([command, *_unread_flags(command)], id=f"{command}-every-unread-flag")
+      for command in _COMMANDS),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch,
+                                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RELAXOPT_OUTPUT_DIR", raising=False)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_flag_a_subcommand_reads_parses(command):
+    reads = _PROBLEM_FIELDS + _COMMANDS[command][1]
+    argv = [command]
+    for name in reads:
+        argv += ["--" + name.replace("_", "-"), str(_FIELDS[name].default)]
+    args = _build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in reads} == {
+        name: _FIELDS[name].default for name in reads}
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("banana = 3\n")
@@ -254,9 +304,10 @@ def test_outputs_keep_undecodable_path_bytes(tmp_path):
            if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LANG", "LC_CTYPE")}
     env.update(LC_ALL="POSIX", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    small = ["--n-cells", "16", "--t-final", "0.2", "--output-dir", os.fsencode(out_dir)]
-    for command, extra, name in (("solve", [], "trajectory.csv"),
-                                 ("optimize", ["--max-iter", "1"], "trace.csv"),
+    small = ["--t-final", "0.2", "--output-dir", os.fsencode(out_dir)]
+    for command, extra, name in (("solve", ["--n-cells", "16"], "trajectory.csv"),
+                                 ("optimize", ["--n-cells", "16", "--max-iter", "1"],
+                                  "trace.csv"),
                                  ("tracking-table", ["--grid-sizes", "16", "--max-iter", "1"],
                                   "tracking.csv")):
         proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "relaxopt.cli",

@@ -32,6 +32,9 @@ def test_make_grid_rejects_bad_input():
         make_grid(1.0, 1.0, 8)
     with pytest.raises(ValueError):
         make_grid(2.0, 1.0, 8)
+    for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(lo, hi, 8)
 
 
 def test_burgers_flux_values():

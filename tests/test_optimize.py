@@ -6,7 +6,7 @@ import pytest
 from relaxopt.core import RelaxConfig, burgers_model, make_grid, subchar_speed
 from relaxopt.adjoint import assemble_gradient, solve_adjoint
 from relaxopt.forward import solve_forward
-from relaxopt.optimize import (ControlProblem, SubcharacteristicError, alpha_sweep, cost,
+from relaxopt.optimize import (ControlProblem, SubcharacteristicError, cost,
                                export_trace, fd_gradient, reduced_cost, steepest_descent,
                                _frozen_speed_problem)
 
@@ -166,14 +166,14 @@ def test_control_problem_validation():
     with pytest.raises(ValueError):
         ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(),
                        t_final=-0.5, u_d=np.zeros(10), tableau="imex-euler")
-
-
-def test_alpha_sweep_returns_report_per_candidate():
-    prob = _tracking_problem(40)
-    out = alpha_sweep(prob, np.full(40, 0.5), alphas=(0.097, 0.2), max_iter=60)
-    assert [a for a, _ in out] == [0.097, 0.2]
-    assert all(rep.step_size == a for a, rep in out)
-    assert all(rep.iterations <= 60 for _, rep in out)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(),
+                           t_final=bad, u_d=np.zeros(10), tableau="imex-euler")
+        with pytest.raises(ValueError, match="c_cfl must be finite"):
+            ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(),
+                           t_final=1.0, u_d=np.zeros(10), tableau="imex-euler",
+                           c_cfl=bad)
 
 
 def test_export_trace_schema_and_determinism(tmp_path):

@@ -1,11 +1,9 @@
 """The CSV writer every exporter shares: cell formatting and all-or-nothing replacement."""
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relaxopt import (GradientReport, OptimizerReport, OrderStudyResult, TrackingTableRow,
-                      export_gradient, export_gradient_report, export_order_study,
+from relaxopt import (OptimizerReport, OrderStudyResult, TrackingTableRow, export_order_study,
                       export_trace, export_tracking_table)
 from relaxopt.output import write_csv
 
@@ -35,11 +33,6 @@ def _trace(path):
                  path, header="h")
 
 
-def _gradient(path):
-    grid = SimpleNamespace(n_cells=3, centers=[0.1, _Boom(), 0.3])
-    export_gradient(grid, np.zeros(3), np.ones(3), path, header="h")
-
-
 def _order_study(path):
     levels = [(0.4, 1e-2), (0.2, 2.5e-3), (0.1, 6e-4)]
     res = OrderStudyResult(tableau="ars-222", levels=levels, observed_order=2.0,
@@ -54,12 +47,6 @@ def _tracking_table(path):
     export_tracking_table(rows, path, header="h")
 
 
-def _gradient_report(path):
-    rep = GradientReport(rows=[(0, 0.1, 1.0, 1.0, 0.0), (1, 0.3, _Boom(), 2.0, 0.0)],
-                         max_rel_err=0.0, mean_rel_err=0.0, theta=1e-6, richardson=0.0)
-    export_gradient_report(rep, path, header="h")
-
-
 def _rows_that_raise(path):
     # the CLI's control.csv, which cmd_optimize writes with write_csv directly
     def rows():
@@ -70,8 +57,7 @@ def _rows_that_raise(path):
 
 # export_trajectory's case, a solve that diverges midway, is
 # test_forward::test_diverging_export_leaves_the_path_as_it_was
-@pytest.mark.parametrize("export", [_trace, _gradient, _order_study, _tracking_table,
-                                    _gradient_report, _rows_that_raise])
+@pytest.mark.parametrize("export", [_trace, _order_study, _tracking_table, _rows_that_raise])
 def test_a_failed_export_leaves_the_earlier_file(tmp_path, export):
     path = tmp_path / "out.csv"
     path.write_bytes(b"# earlier run\nN,iterations\n100,44\n")

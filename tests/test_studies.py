@@ -1,16 +1,16 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
+from relaxopt.adjoint import assemble_gradient, solve_adjoint
 from relaxopt.core import RelaxConfig, burgers_model, make_grid
 from relaxopt.forward import solve_forward
-from relaxopt.optimize import ControlProblem
-from relaxopt.studies import (GradientReport, OrderStudyResult, TrackingTableRow,
-                              export_gradient_report, export_order_study,
-                              export_tracking_table, fit_order, gradient_report,
-                              temporal_order_study, tracking_table)
+from relaxopt.optimize import ControlProblem, _frozen_speed_problem, fd_gradient
+from relaxopt.studies import (OrderStudyResult, TrackingTableRow, consistency_checks,
+                              export_order_study, export_tracking_table, fit_order,
+                              gradient_report, temporal_order_study, tracking_table)
+from relaxopt.tableau import builtin_tableau
 
 
 def _template(n=16, eps=1.0, t_final=0.5, a=None):
@@ -110,14 +110,11 @@ def test_gradient_report_matches_fd():
     u0 = 0.5 + np.sin(prob.grid.centers)
     rep = gradient_report(prob, u0)
     assert rep.max_rel_err <= 1e-6
-    assert rep.mean_rel_err <= rep.max_rel_err
-    assert rep.theta == 1e-6
-    assert 0.0 < rep.richardson < 1e-6
-    assert len(rep.rows) == 50
-    idx, xs, adj, fd, rel = zip(*rep.rows)
-    assert list(idx) == list(range(50))
-    assert np.allclose(xs, prob.grid.centers)
-    assert max(rel) == rep.max_rel_err
+    frozen = _frozen_speed_problem(prob, u0)
+    traj = solve_forward(frozen, frozen.resolve_tableau(), u0, store_stages=True)
+    g_adj = assemble_gradient(solve_adjoint(traj, frozen.u_d), u0, frozen.model)
+    g_fd = fd_gradient(prob, u0, theta=1e-6)
+    assert rep.max_rel_err == np.max(np.abs(g_adj - g_fd)) / np.max(np.abs(g_fd))
 
 
 def test_gradient_report_zero_gradient_at_attained_target():
@@ -126,9 +123,21 @@ def test_gradient_report_zero_gradient_at_attained_target():
     u0 = 0.5 + np.sin(tpl.grid.centers)
     traj = solve_forward(tpl, tpl.resolve_tableau(), u0, store_stages=False)
     prob = dataclasses.replace(tpl, u_d=traj.steps[-1].u)
-    rep = gradient_report(prob, u0, theta=1e-6)
-    assert all(abs(ga) <= 1e-12 for _, _, ga, _, _ in rep.rows)
-    assert all(abs(gf) <= 1e-9 for _, _, _, gf, _ in rep.rows)
+    traj = solve_forward(prob, prob.resolve_tableau(), u0, store_stages=True)
+    g_adj = assemble_gradient(solve_adjoint(traj, prob.u_d), u0, prob.model)
+    assert np.max(np.abs(g_adj)) <= 1e-12
+    assert np.max(np.abs(fd_gradient(prob, u0, theta=1e-6))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["ars-222", "ars-443"])
+def test_consistency_checks_rows(name):
+    # ars-443 has a zero weight, so every sweep falls back to xi: nothing to compare
+    rows = consistency_checks(_template(n=50, eps=1e-6), builtin_tableau(name), seed=0)
+    assert [row[0] for row in rows] == ["weight-consistency", "transpose-dot-test",
+                                        "adjoint-form-equivalence", "gradient-vs-fd"]
+    forms = rows[2][1]
+    assert forms is (None if name == "ars-443" else True)
+    assert all(passed is not False for _, passed, _ in rows)
 
 
 def test_export_order_study_schema(tmp_path):
@@ -166,19 +175,3 @@ def test_export_tracking_table_schema(tmp_path):
     assert lines[1].split(",")[:2] == ["100", "44"]
     assert float(lines[2].split(",")[3]) == 0.0098
 
-
-def test_export_gradient_report_schema(tmp_path):
-    rep = GradientReport(rows=[(0, 0.1, 1.0, 1.0 + 1e-9, 1e-9),
-                               (1, 0.3, -2.0, -2.0, 0.0)],
-                         max_rel_err=1e-9, mean_rel_err=5e-10,
-                         theta=1e-6, richardson=2e-10)
-    path = tmp_path / "grad.csv"
-    export_gradient_report(rep, str(path), header="case A")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# case A"
-    assert lines[1].startswith("# theta=1e-06 max_rel_err=1e-09")
-    assert "richardson=2e-10" in lines[1]
-    assert lines[2] == "i,x,adjoint_grad,fd_grad,rel_err"
-    assert len(lines) == 5
-    assert lines[3].split(",")[0] == "0"
-    assert math.isclose(float(lines[4].split(",")[2]), -2.0)
