@@ -22,15 +22,17 @@ full record, which keep no v under the linear upwind1 operator, work alike.
 A step keeps only the costate it returns; its per-stage variables are
 dropped when the step ends, and the sweep keeps only the time-zero costate
 that the gradient reads.  The source transpose reads only the q part of a
-stage costate, so no form computes the p part, and the transport transpose
-wraps the stepper's own sums without re-validating them (core._pair).
+stage costate, so no form computes the p part, and a stepper calls
+apply_dx_transpose on its own sums, wrapped without re-validation
+(core._pair).
 
 The ark step reads its coefficient differences from AdjointCoeffs.plan and
 its weights and implicit diagonal from ImexTableau.plan, both built once
 with the pair (the pair keeps its AdjointCoeffs as ImexTableau.adjoint_coeffs,
 None when a weight is zero), so a sweep derives no coefficients and a step
-does no numpy-scalar arithmetic and builds no term lists.  It
-stores the source's second component as q / eps and puts its sign on the
+does no numpy-scalar arithmetic and builds no term lists.  Each of its
+combinations is one loop over its plan row, with no Python call per term.
+It stores the source's second component as q / eps and puts its sign on the
 coefficients, and wraps the costate it returns without re-validating it.
 It is bit-identical to the array-indexing version kept in tests/oracles.py.
 """
@@ -42,7 +44,7 @@ from typing import List, Union
 import numpy as np
 
 from .core import FluxModel, RelaxState, _pair
-from .forward import StoredStage, Trajectory, _accumulate
+from .forward import StoredStage, Trajectory
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import AdjointCoeffs, ImexTableau
 
@@ -101,17 +103,6 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> CostateStat
     return CostateState(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
-def _transport_transpose(op: SpatialOp, p, q, base: Stage):
-    """Spatial transpose D^T (p, q) at stage `base`; transport contributes its negative.
-
-    p and q are the stepper's own sums or the parts of p_next, a costate
-    the library built or validated, so they are wrapped without
-    re-validation (core._pair).
-    """
-    out = apply_dx_transpose(op, _pair(RelaxState, p, q), base)
-    return out.u, out.v
-
-
 def _source_transpose(fprime, eps, q):
     """Costate contribution of the stiff source: (f'(U) q / eps, -q / eps).
 
@@ -128,8 +119,9 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
     Stages are processed in reverse; the implicit coupling in the q-component
     is eliminated in closed form, mirroring the forward stage solve.  The
     coefficients come from coeffs.plan and tab.plan.  Each combination starts
-    from p_next and adds its terms left to right (forward._accumulate), so
-    p_next is never written.
+    from p_next: its first term allocates the result and later terms add
+    into it left to right, so p_next is never written.  The update is one
+    more row after the stages, with the weights as its coefficients.
 
     The source transpose reads only the q part of a stage costate, so the p
     part is never formed.  src[j] holds (f'(U_j) q_j / eps, q_j / eps): the
@@ -139,40 +131,48 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
     """
     s = tab.s
     p, q = p_next.p, p_next.q
-    fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
     trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
     src = [None] * s     # source contributions of the stage costates, q part unsigned
-    for i, coupled, trans_terms, src_terms in coeffs.plan:
-        acc_p, acc_q = p, q
+    # the s stage rows, then the update row (i None, the weights as cf_t, cf_s)
+    for i, coupled, trans_terms, src_terms in (*coeffs.plan, (None, tab.plan.weights, (), ())):
+        acc_p, acc_q = p, q   # every term adds to both, so acc_q is q exactly when acc_p is p
         for j, cf_t, cf_s in coupled:
             if cf_t:   # cf_t = (wt_j / wt_i) * a_tilde[j, i]
                 c = -h * cf_t
-                acc_p = _accumulate(acc_p, p, c * trans[j][0])
-                acc_q = _accumulate(acc_q, q, c * trans[j][1])
+                t_p, t_q = trans[j]
+                if acc_p is p:
+                    acc_p = p + c * t_p
+                    acc_q = q + c * t_q
+                else:
+                    acc_p += c * t_p
+                    acc_q += c * t_q
             if cf_s:   # cf_s = (w_j / wt_i) * a_tilde[j, i]
                 c = h * cf_s
-                acc_p = _accumulate(acc_p, p, c * src[j][0])
-                acc_q = _accumulate(acc_q, q, -c * src[j][1])
-        trans[i] = _transport_transpose(op, acc_p, acc_q, stages[i])
+                s_p, s_q = src[j]
+                if acc_p is p:
+                    acc_p = p + c * s_p
+                    acc_q = q + -c * s_q
+                else:
+                    acc_p += c * s_p
+                    acc_q += -c * s_q
+        if i is None:
+            out = object.__new__(CostateState)   # the step's own sums: no re-validation
+            out.p, out.q = acc_p, acc_q
+            return out
+        t = apply_dx_transpose(op, _pair(acc_p, acc_q), stages[i])
+        trans[i] = t.u, t.v
 
         b_q = q
-        for j, cf in trans_terms:   # cf = (wt_j / w_i) * a_impl[j, i]
-            b_q = _accumulate(b_q, q, (-h * cf) * trans[j][1])
-        for j, cf in src_terms:     # cf = (w_j / w_i) * a_impl[j, i]
-            b_q = _accumulate(b_q, q, -(h * cf) * src[j][1])
+        # cf = (wt_j / w_i) * a_impl[j, i] on trans, (w_j / w_i) * a_impl[j, i] on src
+        for terms, part in ((trans_terms, trans), (src_terms, src)):
+            for j, cf in terms:
+                if b_q is q:
+                    b_q = q + -(h * cf) * part[j][1]
+                else:
+                    b_q += -(h * cf) * part[j][1]
         k = h * tab.plan.stages[i][1] / eps
         pq = b_q / (1.0 + k)
-        src[i] = (fprime[i] * pq / eps, pq / eps)
-
-    out_p, out_q = p, q
-    for i, wt, w in tab.plan.weights:   # the ark form has every weight nonzero
-        c = -h * wt
-        out_p = _accumulate(out_p, p, c * trans[i][0])
-        out_q = _accumulate(out_q, q, c * trans[i][1])
-        c = h * w
-        out_p = _accumulate(out_p, p, c * src[i][0])
-        out_q = _accumulate(out_q, q, -c * src[i][1])
-    return _pair(CostateState, out_p, out_q)
+        src[i] = (np.asarray(model.flux_deriv(stages[i].u), float) * pq / eps, pq / eps)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
@@ -197,7 +197,8 @@ def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: floa
             if at[j, i] != 0.0:
                 xt_p += (h * at[j, i]) * theta_p[j]
                 xt_q += (h * at[j, i]) * theta_q[j]
-        t_p, t_q = _transport_transpose(op, xt_p, xt_q, stages[i])
+        t = apply_dx_transpose(op, _pair(xt_p, xt_q), stages[i])
+        t_p, t_q = t.u, t.v
 
         b_q = (h * tab.w[i]) * p_next.q - (h * ai[i, i]) * t_q
         for j in range(i + 1, s):
@@ -231,15 +232,13 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
     coeffs = traj.tab.adjoint_coeffs if form == "ark" else None
     form_used = "ark" if coeffs is not None else "xi"
 
+    tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
-    for n in reversed(range(n_steps)):
-        h = float(traj.dts[n])
+    for h, stages in zip(reversed(traj.dts.tolist()), reversed(traj.stages)):
         if coeffs is not None:
-            p = adjoint_step_ark(coeffs, traj.tab, traj.op, traj.model,
-                                 traj.epsilon, traj.stages[n], p, h)
+            p = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p, h)
         else:
-            p = adjoint_step_xi(traj.tab, traj.op, traj.model,
-                                traj.epsilon, traj.stages[n], p, h)
+            p = adjoint_step_xi(tab, op, model, eps, stages, p, h)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 

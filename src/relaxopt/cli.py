@@ -219,7 +219,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     write_csv(control_path, ("i", "x", "u0"), zip(range(grid.n_cells), grid.centers, u0),
               comments=(header,))
     print(f"optimize {tab.name} N={grid.n_cells}: converged={report.converged} "
-          f"iterations={report.iterations} final_cost={report.final_cost:.6e}")
+          f"iterations={report.iterations} cost_increases={report.cost_increases} "
+          f"final_cost={report.final_cost:.6e}")
     print(f"wrote {trace_path}")
     print(f"wrote {control_path}")
     return 0
@@ -281,7 +282,7 @@ def cmd_tracking_table(cfg: RunConfig) -> int:
     for r in rows:
         print(f"N={r.n_cells:5d} iterations={r.iterations:4d} "
               f"final_cost={r.final_cost:.6e} converged={r.converged} "
-              f"wall_s={r.wall_time_s:.3f}")
+              f"cost_increases={r.cost_increases} wall_s={r.wall_time_s:.3f}")
     print(f"wrote {path}")
     return 0
 

@@ -125,21 +125,19 @@ class RelaxState:
             )
 
 
-def _pair(cls, first: np.ndarray, second: np.ndarray):
-    """cls(first, second) for a two-field array dataclass, without __post_init__.
+def _pair(u: np.ndarray, v: np.ndarray) -> RelaxState:
+    """RelaxState(u, v) without __post_init__.
 
-    For RelaxState and CostateState built from arrays made in the calling
-    function, or handed to it by a caller that made them or took them from
-    a state the library built or validated (adjoint._transport_transpose
-    wraps a stepper's costate sums or the parts of p_next): float64, 1-D and
-    of equal length by construction, so the validation would repeat what was
-    already done.  Public construction still validates.
+    For arrays made in the calling function, or taken from a state the
+    library built or validated (the adjoint steppers wrap their own costate
+    sums or the parts of p_next): float64, 1-D and of equal length by
+    construction, so the validation would repeat what was already done.
+    Public construction still validates.
     """
-    obj = object.__new__(cls)
-    x, y = cls.__match_args__
-    setattr(obj, x, first)
-    setattr(obj, y, second)
-    return obj
+    state = object.__new__(RelaxState)
+    state.u = u
+    state.v = v
+    return state
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,14 @@ export_trajectory writes its frames as they are reached.
 A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
 built once with the pair: the nonzero entries as Python floats, so a step
 neither slices the coefficient arrays nor compares numpy scalars with zero.
-Finite values are checked once per step, on the result, with one sum per
-field; only a non-finite sum pays for the elementwise scan, and a failure
-names the first non-finite stage (see DivergenceError).  The stage states
-and the result are built without re-validating arrays the step just made
+Each combination of a stage or of the update is one loop over its plan row:
+the first term allocates the result and later terms add into it in place,
+with no Python call per term.  Finite values are checked once per step, on
+the result, with one reduction over both fields, the dot product u.v: any
+non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so only
+a non-finite product pays for the elementwise scan, and a failure names the
+first non-finite stage (see DivergenceError).  The stage states and the
+result are built without re-validating arrays the step just made
 (core._pair), and a solve enters np.errstate once, not once per step.  None
 of this touches an element's floating-point operations or their order, so
 results are bit-identical to the per-stage formulation kept in
@@ -109,39 +113,6 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _accumulate(out, x, term):
-    """x + term when out is still x, else out += term; x itself is never written.
-
-    A combination summed this way allocates its result once, at the first
-    term, and adds later terms into it, so a result that outlives the step
-    (a stored stage or costate) is allocated before the step's temporaries.
-    """
-    if out is x:
-        return x + term
-    out += term
-    return out
-
-
-def _combine(u, v, h: float, terms, trans_u, trans_v, source):
-    """(u, v) - h * sum ct (trans_u[j], trans_v[j]) + h * sum ci (0, source[j]) over terms (j, ct, ci).
-
-    Terms are added left to right, and for v the transport term of j before
-    its source term; a zero coefficient is skipped.  A component with no term
-    is the input array itself.  Each product is rounded before it is added;
-    a subtraction is written with a negated coefficient, which IEEE
-    arithmetic rounds identically.
-    """
-    ru, rv = u, v
-    for j, ct, ci in terms:
-        if ct:
-            c = -h * ct
-            ru = _accumulate(ru, u, c * trans_u[j])
-            rv = _accumulate(rv, v, c * trans_v[j])
-        if ci:
-            rv = _accumulate(rv, v, (h * ci) * source[j])
-    return ru, rv
-
-
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
               y_n: RelaxState, h: float, step_index: int = 0):
     """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
@@ -156,38 +127,63 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     increments and the implicit weights to the source values.  The
     coefficients come from tab.plan, so zero entries cost nothing.
 
+    A combination (u, v) - h * sum ct (trans_u[j], trans_v[j]) + h * sum ci
+    (0, source[j]) adds its terms left to right, and for v the transport term
+    of j before its source term.  Each product is rounded before it is
+    added; a subtraction is written with a negated coefficient, which IEEE
+    arithmetic rounds identically.  A component with no term is the input
+    array itself, which is never written.
+
     Finite values are checked once, on the result: if y_{n+1} has a
     non-finite entry, DivergenceError names step_index and the first stage
     whose u or v is non-finite, or stage s-1 when every stage is finite.  A
     non-finite stage that enters the result only through zero coefficients
-    goes unreported.  The check sums each field and scans the elements only
-    when that sum is not finite, so a finite state whose sum overflows
-    passes.
+    goes unreported.  The check takes the dot product of the two fields and
+    scans the elements only when that is not finite, so a finite state whose
+    product overflows passes.
 
     A bare call does not silence numpy's floating-point warnings; overflow
-    in a step warns unless the caller is inside np.errstate, as
-    solve_forward's step loop is.
+    in a step, or in the check's dot product, warns unless the caller is
+    inside np.errstate, as solve_forward's step loop is.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
-    for terms, diag in tab.plan.stages:
-        ru, rv = _combine(u, v, h, terms, trans_u, trans_v, source)
+    # the s stage rows, then the update row (weights, no diagonal)
+    for terms, diag in (*tab.plan.stages, (tab.plan.weights, None)):
+        ru, rv = u, v
+        for j, ct, ci in terms:
+            if ct:
+                c = -h * ct
+                if ru is u:
+                    ru = u + c * trans_u[j]
+                else:
+                    ru += c * trans_u[j]
+                if rv is v:
+                    rv = v + c * trans_v[j]
+                else:
+                    rv += c * trans_v[j]
+            if ci:
+                if rv is v:
+                    rv = v + (h * ci) * source[j]
+                else:
+                    rv += (h * ci) * source[j]
+        if diag is None:
+            break
         src = np.asarray(model.flux(ru), float) - rv
         src /= eps + h * diag
-        stage = _pair(RelaxState, ru, rv + (h * diag) * src)
+        stage = _pair(ru, rv + (h * diag) * src)
         stages.append(stage)
         g = apply_dx(op, stage)
         trans_u.append(g.u)
         trans_v.append(g.v)
         source.append(src)
-    u1, v1 = _combine(u, v, h, tab.plan.weights, trans_u, trans_v, source)
-    if not math.isfinite(float(u1.sum()) + float(v1.sum())) and not _finite(u1, v1):
+    if not math.isfinite(ru.dot(rv)) and not _finite(ru, rv):
         bad = (i for i, st in enumerate(stages) if not _finite(st.u, st.v))
         raise DivergenceError(step_index, next(bad, tab.s - 1))
-    return _pair(RelaxState, u1, v1), stages
+    return _pair(ru, rv), stages
 
 
 def _finite(u, v) -> bool:
@@ -257,9 +253,9 @@ def _march(traj: Trajectory):
     """
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     y = traj.steps[0]
-    for n, hn in enumerate(traj.dts):
+    for n, hn in enumerate(traj.dts.tolist()):
         try:
-            y, stage_states = imex_step(tab, op, model, eps, y, float(hn), step_index=n)
+            y, stage_states = imex_step(tab, op, model, eps, y, hn, step_index=n)
         except DivergenceError as err:
             # imex_step knows the step index, not the time; add the step's start time
             raise DivergenceError(err.step, err.stage, float(traj.times[n])) from None

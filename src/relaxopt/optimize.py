@@ -75,7 +75,11 @@ class SubcharacteristicError(RuntimeError):
 
 @dataclass
 class OptimizerReport:
-    """Descent run summary; cost_history[k] is the cost after k control updates."""
+    """Descent run summary; cost_history[k] is the cost after k control updates.
+
+    converged says only that the last cost fell below tol; cost_increases
+    says whether the descent went down on the way there.
+    """
 
     iterations: int
     final_cost: float
@@ -85,6 +89,12 @@ class OptimizerReport:
     wall_time: float
     grad_norm_history: List[float] = field(default_factory=list)
     iter_wall_times: List[float] = field(default_factory=list)
+
+    @property
+    def cost_increases(self) -> int:
+        """Number of control updates whose cost exceeds the cost before them."""
+        c = self.cost_history
+        return sum(b > a for a, b in zip(c, c[1:]))
 
 
 def cost(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> float:

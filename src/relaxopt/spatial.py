@@ -31,11 +31,14 @@ d[i] = w[i] - w[i-1] the rows of another, so one pass over d decides
 minmod's branches for the pairs (d[i], d[i+1]) of both families
 (`_branches`).  The limited slopes of apply_dx, the frozen branch masks of
 the linearization and the transpose (`_limiter_masks`) and the public
-`minmod` all come from that one rule.  `_next_sub` and `_prev_sub` write a
-difference x - y into a ghost-cell buffer and return its shifted view,
-`_divergence` differences the face values inside their own ghost-cell
-buffers, and `_fwd_diff` (x[i] - x[i+1]) serves the transpose's inputs,
-which arrive unpadded.  The operators compute a*u once and scale their own
+`minmod` all come from that one rule.  `_next_sub` writes a difference
+x - y into a ghost-cell buffer and returns its shifted view x[i+1] - y[i+1],
+and `_divergence` differences the face values inside their own ghost-cell
+buffers.  apply_dx under upwind1 and apply_dx_transpose, which every time
+step calls, write their shape check, upwind faces and differences inline
+instead of through helper frames; the transpose's inputs arrive unpadded,
+so it forms x[i] - x[i+1] with one slice subtraction and the wrapped last
+element.  The operators compute a*u once and scale their own
 temporaries in place (/ (2a), * 0.5, / dx, * a^2), and the transpose forms
 fm_bar = vf_bar/2 - uf_bar/(2a), which IEEE arithmetic rounds exactly as
 (-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same
@@ -81,14 +84,6 @@ class SpatialOp:
         return self.scheme == "upwind1"
 
 
-def _fwd_diff(x):
-    """x[i] - x[i+1] with periodic wraparound (x minus its roll by -1)."""
-    out = np.empty_like(x)
-    np.subtract(x[:-1], x[1:], out=out[:-1])
-    out[-1] = x[-1] - x[0]
-    return out
-
-
 def _next_sub(x, y):
     """x[i+1] - y[i+1] with periodic wraparound (x - y rolled by -1).
 
@@ -99,18 +94,6 @@ def _next_sub(x, y):
     np.subtract(x, y, out=buf[:n])
     buf[n] = buf[0]
     return buf[1:]
-
-
-def _prev_sub(x, y):
-    """x[i-1] - y[i-1] with periodic wraparound (x - y rolled by +1).
-
-    A view buf[:N] of a buffer whose ghost cell buf[0] repeats buf[N].
-    """
-    n = x.size
-    buf = np.empty(n + 1)
-    np.subtract(x, y, out=buf[1:])
-    buf[0] = buf[n]
-    return buf[:n]
 
 
 def _branches(d):
@@ -167,11 +150,8 @@ def _check_state(op: SpatialOp, u, v):
         raise ValueError(f"state size {u.shape}/{v.shape} does not match grid ({n} cells)")
 
 
-def _face_values(op: SpatialOp, u, v):
-    """Interface values of both characteristic families at faces i+1/2."""
-    if op.linear:
-        au = op.a * u
-        return v + au, _next_sub(v, au)
+def _limited_faces(op: SpatialOp, u, v):
+    """muscl2 interface values of both characteristic families at faces i+1/2."""
     w, d = _char_diffs(op, u, v)
     s = _limited_slopes(d)
     s *= 0.5
@@ -208,10 +188,21 @@ def _divergence(op: SpatialOp, fp, fm):
 def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     """Divergence increment of the transport fluxes at every cell (see module docstring)."""
     u, v = state.u, state.v
-    _check_state(op, u, v)
-    fp, fm = _face_values(op, u, v)
+    n = op.grid.n_cells
+    if u.shape != (n,) or v.shape != (n,):
+        _check_state(op, u, v)   # raises
+    if op.linear:
+        # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost buf[n] = buf[0]
+        au = op.a * u
+        fp = v + au
+        buf = np.empty(n + 1)
+        np.subtract(v, au, out=buf[:n])
+        buf[n] = buf[0]
+        fm = buf[1:]
+    else:
+        fp, fm = _limited_faces(op, u, v)
     out_u, out_v = _divergence(op, fp, fm)
-    return _pair(RelaxState, out_u, out_v)
+    return _pair(out_u, out_v)
 
 
 def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> RelaxState:
@@ -274,22 +265,32 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     apply_dx replaced by apply_dx_linearized at `base` for muscl2.
     """
     zu, zv = costate.u, costate.v
-    _check_state(op, zu, zv)
+    n = op.grid.n_cells
+    if zu.shape != (n,) or zv.shape != (n,):
+        _check_state(op, zu, zv)   # raises
     if base is None and not op.linear:
         raise ValueError("muscl2 transpose needs the linearization base state")
     a, dx = op.a, op.grid.dx
 
     # transpose of the face-difference / back-transform stage:
-    # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2
-    half = _fwd_diff(zu)
+    # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2,
+    # from the periodic forward differences x[i] - x[i+1] of the inputs
+    half = np.empty(n)
+    np.subtract(zu[:-1], zu[1:], out=half[:-1])
+    half[-1] = zu[-1] - zu[0]
     half /= dx
     half *= 0.5
-    t = _fwd_diff(zv)
+    t = np.empty(n)
+    np.subtract(zv[:-1], zv[1:], out=t[:-1])
+    t[-1] = zv[-1] - zv[0]
     t *= a * a
     t /= dx
     t /= 2.0 * a
     wp_bar = t + half              # fp_bar
-    wm_bar = _prev_sub(half, t)    # fm_bar[i-1]
+    buf = np.empty(n + 1)          # fm_bar[i-1], ghost buf[0] = buf[n]
+    np.subtract(half, t, out=buf[1:])
+    buf[0] = buf[n]
+    wm_bar = buf[:n]
 
     if not op.linear:
         # w+ face: fp = wp + sigma(wp)/2; w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
@@ -301,4 +302,4 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u
     out_u = wp_bar - wm_bar
     out_u *= a
-    return _pair(RelaxState, out_u, wm_bar + wp_bar)
+    return _pair(out_u, wm_bar + wp_bar)

@@ -60,12 +60,13 @@ class OrderStudyResult:
 
 @dataclass
 class TrackingTableRow:
-    """One grid size of the tracking experiment."""
+    """One grid size of the tracking experiment; cost_increases as in OptimizerReport."""
     n_cells: int
     iterations: int
     wall_time_s: float
     final_cost: float
     converged: bool = True
+    cost_increases: int = 0
 
 
 @dataclass
@@ -102,10 +103,6 @@ def _default_u0(x: np.ndarray) -> np.ndarray:
     return 0.5 + np.sin(x)
 
 
-def _default_u_d(x: np.ndarray) -> np.ndarray:
-    return np.full_like(x, 0.5)
-
-
 def _h_levels(t_final: float, h_cfl: float, levels: int) -> List[Tuple[int, float]]:
     """(n_steps, h) pairs with h halved per level, starting below the CFL bound.
 
@@ -119,7 +116,6 @@ def _h_levels(t_final: float, h_cfl: float, levels: int) -> List[Tuple[int, floa
 def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
                          n_cells_forward: int = 2048, n_cells_gradient: int = 384,
                          u0_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         u_d_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                          ) -> OrderStudyResult:
     """Self-convergence study of the temporal order of the forward solve and of the gradient.
 
@@ -130,7 +126,8 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
     `levels` times starting from the largest uniform step below the CFL
     bound, errors are max-norm deviations from a reference computed at one
     quarter of the finest h, and slopes come from a log-log least-squares
-    fit.
+    fit.  The control is u0_fn(x), 0.5 + sin(x) by default, and the
+    gradient's target is u_d = 0.5.
 
     The template's epsilon is used as-is; order studies are meant to run in
     the resolved regime (epsilon = 1.0 in the shipped configuration) where the
@@ -142,13 +139,12 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
         tab = builtin_tableau(tab)
     report = check_order(tab)
     u0_fn = u0_fn or _default_u0
-    u_d_fn = u_d_fn or _default_u_d
     t_final = template.t_final
 
     def _part(n_cells: int) -> Tuple[List[Tuple[float, float]], Callable]:
         grid = make_grid(template.grid.x_min, template.grid.x_max, n_cells)
         problem = dataclasses.replace(
-            template, grid=grid, u_d=u_d_fn(grid.centers), tableau=tab)
+            template, grid=grid, u_d=np.full(n_cells, 0.5), tableau=tab)
         u0 = u0_fn(grid.centers)
         frozen = _frozen_speed_problem(problem, u0)
         a = frozen.relax.a
@@ -211,11 +207,12 @@ def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
 
     Per grid: the problem comes from tracking_problem, the optimizer starts
     from the constant 0.5, and the row records iterations, the descent's wall
-    time and final cost.  The default step size is calibrated so the shipped
-    configuration reproduces the reference iteration counts {44, 43, 42, 41}
-    on N = {100, 150, 200, 300}.  Non-convergence is recorded in the row
-    (converged=False), never raised.  Rows come back in the order of
-    grid_sizes regardless of how long each takes.
+    time, final cost and the number of updates that raised the cost.  The
+    default step size is calibrated so the shipped configuration reproduces
+    the reference iteration counts {44, 43, 42, 41} on N = {100, 150, 200,
+    300}.  Non-convergence is recorded in the row (converged=False), never
+    raised.  Rows come back in the order of grid_sizes regardless of how
+    long each takes.
     """
     if len(grid_sizes) == 0:
         raise ValueError("grid_sizes must be nonempty")
@@ -228,7 +225,8 @@ def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
         rows.append(TrackingTableRow(n_cells=int(n), iterations=rep.iterations,
                                      wall_time_s=rep.wall_time,
                                      final_cost=rep.final_cost,
-                                     converged=rep.converged))
+                                     converged=rep.converged,
+                                     cost_increases=rep.cost_increases))
     return rows
 
 

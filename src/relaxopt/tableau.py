@@ -258,20 +258,20 @@ def _branch_residuals(tab: ImexTableau, coeffs: AdjointCoeffs) -> Dict[str, floa
     }
 
 
-def check_order(tab: ImexTableau, tol: float = ORDER_TOL) -> OrderReport:
+def check_order(tab: ImexTableau) -> OrderReport:
     """Evaluate the order conditions and classify the tableau pair.
 
     forward_order is monotone: order k is only claimed when every condition of
-    order <= k is below tol.  For forward order 3 the coupled forward/adjoint
-    system keeps order 3 only if one of the extra condition branches holds;
-    without coefficient matrices (tab.adjoint_coeffs is None for zero-weight
-    tableaus) that question cannot be decided and the coupled order is
-    reported as 2.
+    order <= k is at most ORDER_TOL.  For forward order 3 the coupled
+    forward/adjoint system keeps order 3 only if one of the extra condition
+    branches holds; without coefficient matrices (tab.adjoint_coeffs is None
+    for zero-weight tableaus) that question cannot be decided and the coupled
+    order is reported as 2.
     """
     res = order_condition_residuals(tab)
     forward = 0
     for k in (1, 2, 3):
-        if all(v <= tol for key, v in res.items() if key.startswith(f"order{k}")):
+        if all(v <= ORDER_TOL for key, v in res.items() if key.startswith(f"order{k}")):
             forward = k
         else:
             break
@@ -286,11 +286,11 @@ def check_order(tab: ImexTableau, tol: float = ORDER_TOL) -> OrderReport:
         else:
             bres = _branch_residuals(tab, coeffs)
             res.update(bres)
-            gamma_ok = all(bres[k] <= tol for k in bres if k.startswith("branch-gamma"))
-            coupling_ok = (bres["branch-coupling: w.c.gamma"] <= tol
-                           and bres["branch-coupling: w.c_tilde.gamma_tilde"] <= tol
-                           and (bres["branch-coupling: w.c.gamma_tilde"] <= tol
-                                or bres["branch-coupling: w.c_tilde.gamma"] <= tol))
+            gamma_ok = all(bres[k] <= ORDER_TOL for k in bres if k.startswith("branch-gamma"))
+            coupling_ok = (bres["branch-coupling: w.c.gamma"] <= ORDER_TOL
+                           and bres["branch-coupling: w.c_tilde.gamma_tilde"] <= ORDER_TOL
+                           and (bres["branch-coupling: w.c.gamma_tilde"] <= ORDER_TOL
+                                or bres["branch-coupling: w.c_tilde.gamma"] <= ORDER_TOL))
             if gamma_ok and coupling_ok:
                 branch_used = "both"
             elif gamma_ok:

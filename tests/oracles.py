@@ -31,11 +31,10 @@ from typing import List
 import numpy as np
 
 from relaxopt.adjoint import (AdjointSweepRecord, CostateState, Stage, _source_transpose,
-                              _transport_transpose, adjoint_step_ark, assemble_gradient,
-                              terminal_costate)
+                              adjoint_step_ark, assemble_gradient, terminal_costate)
 from relaxopt.core import FluxModel, RelaxState
 from relaxopt.forward import DivergenceError, imex_step
-from relaxopt.spatial import SpatialOp, apply_dx
+from relaxopt.spatial import SpatialOp, apply_dx, apply_dx_transpose
 from relaxopt.tableau import (AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs,
                               make_imex_tableau)
 
@@ -244,6 +243,12 @@ def ref_imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
         _require_finite(u1, step_index, s - 1)
         _require_finite(v1, step_index, s - 1)
     return RelaxState(u1, v1), stages
+
+
+def _transport_transpose(op, p, q, base):
+    """Spatial transpose D^T (p, q) at stage `base`, as its two parts."""
+    out = apply_dx_transpose(op, RelaxState(p, q), base)
+    return out.u, out.v
 
 
 def _costate_lincomb(x: CostateState, terms):

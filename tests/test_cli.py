@@ -62,7 +62,7 @@ def test_optimize_default_step_converges(tmp_path, capsys):
     rc = main(["optimize", "--n-cells", "100", "--output-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "converged=True iterations=44 " in out
+    assert "converged=True iterations=44 cost_increases=0 " in out
 
 
 def test_check_reports_orders_and_passes(capsys):
@@ -145,7 +145,7 @@ def test_tracking_table_subcommand(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "converged=True" in out
+    assert "converged=True cost_increases=0 " in out
     lines = (tmp_path / "tracking.csv").read_text().splitlines()
     assert "alpha=0.097" in lines[0]
     assert lines[1] == "N,iterations,wall_s,final_cost"

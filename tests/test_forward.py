@@ -446,14 +446,15 @@ def test_step_check_names_the_stage_the_stage_checks_named():
     assert seen == {None, True, False}
 
 
-def _poisoned_apply_dx(call, field, cell, value):
-    """apply_dx whose output on call `call` (0-based) holds `value` at one cell of `field`."""
+def _poisoned_apply_dx(call, entries):
+    """apply_dx whose output on call `call` (0-based) holds value at each (field, cell): value."""
     calls = [0]
 
     def poisoned(op, state):
         out = apply_dx(op, state)
         if calls[0] == call:
-            getattr(out, field)[cell] = value
+            for (field, cell), value in entries.items():
+                getattr(out, field)[cell] = value
         calls[0] += 1
         return out
     return poisoned
@@ -475,10 +476,40 @@ def test_step_check_catches_one_non_finite_entry_of_the_update(monkeypatch, valu
                 got = []
                 for module, step in ((forward, imex_step), (oracles, ref_imex_step)):
                     monkeypatch.setattr(module, "apply_dx",
-                                        _poisoned_apply_dx(j, field, cell, value))
+                                        _poisoned_apply_dx(j, {(field, cell): value}))
                     got.append(_divergence_of(step, tab, SpatialOp(g, 1.8), model,
                                               cfg.epsilon, y, 0.5 * g.dx / 1.8))
                 assert got[0] is not None and got[0] == got[1], (name, j, field, cell)
+
+
+@pytest.mark.parametrize("c, entries", [
+    (0.0, {("u", 7): np.inf}),                       # inf * 0 in one cell of u . v
+    (0.5, {("u", 7): np.inf, ("u", 23): -np.inf}),   # +inf and -inf in different cells
+])
+def test_one_reduction_check_catches_entries_its_sum_could_cancel(monkeypatch, c, entries):
+    # u = 1/2 and v = c u under the flux f(u) = c u is a fixed point of every
+    # step, so the update is y, with v1 = c/2 in every cell, except where the
+    # poisoned transport increment of the last stage j with a nonzero
+    # explicit weight enters u1: the dot product u1 . v1 meets inf * 0 or
+    # inf - inf there, and the step must name stage s-1, as the per-stage
+    # reference does
+    g = make_grid(0.0, 2.0 * np.pi, 40)
+    model = FluxModel(flux=lambda u: c * u if c else np.zeros_like(u),
+                      flux_deriv=lambda u: np.full_like(u, c))
+    u = np.full(g.n_cells, 0.5)
+    y = RelaxState(u, model.flux(u))
+    op, h = SpatialOp(g, 1.8), 0.5 * g.dx / 1.8
+    for name in builtin_names():
+        tab = builtin_tableau(name)
+        y1, _ = imex_step(tab, op, model, 1e-6, y, h)
+        assert np.array_equal(y1.u, u) and np.all(y1.v == c / 2), name
+        j = int(np.flatnonzero(tab.w_tilde)[-1])
+        got = []
+        for module, step in ((forward, imex_step), (oracles, ref_imex_step)):
+            monkeypatch.setattr(module, "apply_dx", _poisoned_apply_dx(j, entries))
+            got.append(_divergence_of(step, tab, op, model, 1e-6, y, h))
+        monkeypatch.undo()
+        assert got[0] == got[1] == (3, tab.s - 1), name
 
 
 @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])

@@ -105,6 +105,7 @@ def test_descent_reproduces_reference_iteration_count():
     assert len(hist) == rep.iterations + 1
     assert len(rep.grad_norm_history) == rep.iterations
     assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert rep.cost_increases == 0
 
 
 def test_descent_iteration_cap_reports_not_converged():

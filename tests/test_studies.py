@@ -97,6 +97,15 @@ def test_tracking_table_single_grid():
     assert row.final_cost < 1e-2
     assert 40 <= row.iterations <= 48       # reference value is 44
     assert row.wall_time_s > 0.0
+    assert row.cost_increases == 0
+
+
+def test_tracking_table_counts_the_updates_that_raised_the_cost():
+    # muscl2 at N = 150: the cost first rises at update 21 and first dips
+    # below 0.065 at update 40, so this run converges after 10 rises
+    template = dataclasses.replace(_template(eps=1e-6, t_final=2.0), scheme="muscl2")
+    row, = tracking_table(template, [150], tol=0.065)
+    assert (row.converged, row.iterations, row.cost_increases) == (True, 40, 10)
 
 
 def test_tracking_table_rejects_empty_grid_list():
