@@ -2,39 +2,39 @@
 
 solve_adjoint is the one sweep.  Its steps transpose the linearized forward
 step exactly, so the assembled gradient is the exact gradient of the
-discrete objective.  A step comes in one of two forms, chosen by the tableau:
+discrete objective.  Every step runs one function, _adjoint_step, through
+one of two coefficient plans built once with the pair (tableau._adjoint_plan):
 
-* ark: stage-costate form using the derived coefficient matrices; needs every
-  tableau weight nonzero (default path).
-* xi: scaled-variable form that never divides by a weight (automatic fallback
-  when the coefficient matrices are undefined).
+* ark: stage-costate form (Hager's transformed adjoint), plan
+  AdjointCoeffs.plan; needs every tableau weight nonzero (default path).
+* xi: scaled-variable form, plan ImexTableau.xi_plan; never divides by a
+  weight (automatic fallback when ImexTableau.adjoint_coeffs is None).
 
-The increment (zeta) form is a third, algebraically equal recursion; it is
-kept in tests/oracles.py as the oracle both forms are checked against.
+adjoint_step_ark and adjoint_step_xi name the two plans.  The increment
+(zeta) form is a third, algebraically equal recursion; it is kept in
+tests/oracles.py as the oracle both forms are checked against.
 
 Each backward stage inverts the same scalar-linear implicit relation as the
 forward solver, in closed form.  The transport transpose reuses the stored
 forward stages, which also freeze the limiter choices of the second-order
-scheme.  A stepper reads a stage only through its u (for f'(U) in the source
+scheme.  A step reads a stage only through its u (for f'(U) in the source
 transpose) and passes the stage on as the base of apply_dx_transpose, so
 the RelaxState stages of a bare imex_step and the StoredStage entries of a
 full record, which keep no v under the linear upwind1 operator, work alike.
 A step keeps only the costate it returns; its per-stage variables are
 dropped when the step ends, and the sweep keeps only the time-zero costate
 that the gradient reads.  The source transpose reads only the q part of a
-stage costate, so no form computes the p part, and a stepper calls
+stage costate, so no step computes the p part, and a step calls
 apply_dx_transpose on its own sums, wrapped without re-validation
 (core._pair).
 
-The ark step reads its coefficient differences from AdjointCoeffs.plan and
-its weights and implicit diagonal from ImexTableau.plan, both built once
-with the pair (the pair keeps its AdjointCoeffs as ImexTableau.adjoint_coeffs,
-None when a weight is zero), so a sweep derives no coefficients and a step
-does no numpy-scalar arithmetic and builds no term lists.  Each of its
-combinations is one loop over its plan row, with no Python call per term.
-It stores the source's second component as q / eps and puts its sign on the
-coefficients, and wraps the costate it returns without re-validating it.
-It is bit-identical to the array-indexing version kept in tests/oracles.py.
+A plan holds the nonzero coefficients as Python floats, so a sweep derives
+no coefficients and a step indexes no tableau array, does no numpy-scalar
+arithmetic and builds no term lists.  Each combination is one loop over its
+plan row, with no Python call per term.  The step stores the source's second
+component as q / eps and puts its sign on the coefficients, and wraps the
+costate it returns without re-validating it.  Through the ark plan it is
+bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -103,25 +103,17 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> CostateStat
     return CostateState(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
-def _source_transpose(fprime, eps, q):
-    """Costate contribution of the stiff source: (f'(U) q / eps, -q / eps).
-
-    It reads only the q part of a stage costate, so no stepper forms the p part.
-    """
-    return fprime * q / eps, -q / eps
-
-
-def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
-                     model: FluxModel, eps: float, stages: List[Stage],
-                     p_next: CostateState, h: float) -> CostateState:
-    """One backward step in stage-costate form; returns p_n.
+def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel,
+                  eps: float, stages: List[Stage], p_next: CostateState,
+                  h: float) -> CostateState:
+    """One backward step through an adjoint step plan (tableau._adjoint_plan); returns p_n.
 
     Stages are processed in reverse; the implicit coupling in the q-component
-    is eliminated in closed form, mirroring the forward stage solve.  The
-    coefficients come from coeffs.plan and tab.plan.  Each combination starts
-    from p_next: its first term allocates the result and later terms add
-    into it left to right, so p_next is never written.  The update is one
-    more row after the stages, with the weights as its coefficients.
+    is eliminated in closed form, mirroring the forward stage solve.  Each
+    combination starts from p_next, scaled by the row's start coefficient
+    unless that is 1.0: a scaled start allocates the result, else the first
+    term does, and later terms add into it left to right, so p_next is never
+    written.  The update is one more row after the stages.
 
     The source transpose reads only the q part of a stage costate, so the p
     part is never formed.  src[j] holds (f'(U_j) q_j / eps, q_j / eps): the
@@ -129,24 +121,22 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
     reads it negates its coefficient instead, which IEEE arithmetic rounds
     identically.
     """
-    s = tab.s
     p, q = p_next.p, p_next.q
-    trans = [None] * s   # D^T of the tilde stage costates; they contribute -trans
-    src = [None] * s     # source contributions of the stage costates, q part unsigned
-    # the s stage rows, then the update row (i None, the weights as cf_t, cf_s)
-    for i, coupled, trans_terms, src_terms in (*coeffs.plan, (None, tab.plan.weights, (), ())):
-        acc_p, acc_q = p, q   # every term adds to both, so acc_q is q exactly when acc_p is p
+    trans = [None] * tab.s   # D^T of the tilde stage costates; they contribute -trans
+    src = [None] * tab.s     # source contributions of the stage costates, q part unsigned
+    for i, start_t, start_q, coupled, trans_terms, src_terms in plan:
+        acc_p, acc_q = (p, q) if start_t == 1.0 else (start_t * p, start_t * q)
         for j, cf_t, cf_s in coupled:
-            if cf_t:   # cf_t = (wt_j / wt_i) * a_tilde[j, i]
+            if cf_t:
                 c = -h * cf_t
                 t_p, t_q = trans[j]
-                if acc_p is p:
+                if acc_p is p:   # every term adds to both, so acc_q is q exactly when acc_p is p
                     acc_p = p + c * t_p
                     acc_q = q + c * t_q
                 else:
                     acc_p += c * t_p
                     acc_q += c * t_q
-            if cf_s:   # cf_s = (w_j / wt_i) * a_tilde[j, i]
+            if cf_s:
                 c = h * cf_s
                 s_p, s_q = src[j]
                 if acc_p is p:
@@ -162,8 +152,7 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
         t = apply_dx_transpose(op, _pair(acc_p, acc_q), stages[i])
         trans[i] = t.u, t.v
 
-        b_q = q
-        # cf = (wt_j / w_i) * a_impl[j, i] on trans, (w_j / w_i) * a_impl[j, i] on src
+        b_q = q if start_q == 1.0 else start_q * q
         for terms, part in ((trans_terms, trans), (src_terms, src)):
             for j, cf in terms:
                 if b_q is q:
@@ -175,52 +164,31 @@ def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
         src[i] = (np.asarray(model.flux_deriv(stages[i].u), float) * pq / eps, pq / eps)
 
 
+def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
+                     model: FluxModel, eps: float, stages: List[Stage],
+                     p_next: CostateState, h: float) -> CostateState:
+    """One backward step in stage-costate form, through coeffs.plan; returns p_n."""
+    return _adjoint_step(coeffs.plan, tab, op, model, eps, stages, p_next, h)
+
+
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
                     stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
-    """One backward step in scaled-variable form; defined for any weights.
+    """One backward step in scaled-variable form, through tab.xi_plan; returns p_n.
 
-    When all weights are nonzero its tilde stage variables equal h * w_tilde_i
-    times the stage costates of the ark form.  Only the q part of the
-    non-tilde stage variable is formed: the source transpose reads no other.
+    Defined for any weights.  When all weights are nonzero, stage row i
+    forms w_tilde[i] times the ark form's tilde stage costate and w[i] times
+    the q part of its stage costate.
     """
-    s = tab.s
-    at, ai = tab.a_tilde, tab.a_impl
-    fprime = [np.asarray(model.flux_deriv(st.u), float) for st in stages]
-    theta_p = [None] * s   # combined transported+source stage contributions
-    theta_q = [None] * s
-    sum_p = np.zeros_like(p_next.p)
-    sum_q = np.zeros_like(p_next.q)
-    for i in reversed(range(s)):
-        xt_p = (h * tab.w_tilde[i]) * p_next.p
-        xt_q = (h * tab.w_tilde[i]) * p_next.q
-        for j in range(i + 1, s):
-            if at[j, i] != 0.0:
-                xt_p += (h * at[j, i]) * theta_p[j]
-                xt_q += (h * at[j, i]) * theta_q[j]
-        t = apply_dx_transpose(op, _pair(xt_p, xt_q), stages[i])
-        t_p, t_q = t.u, t.v
-
-        b_q = (h * tab.w[i]) * p_next.q - (h * ai[i, i]) * t_q
-        for j in range(i + 1, s):
-            if ai[j, i] != 0.0:
-                b_q += (h * ai[j, i]) * theta_q[j]
-        k = h * ai[i, i] / eps
-        xi_q = b_q / (1.0 + k)
-        s_p, s_q = _source_transpose(fprime[i], eps, xi_q)
-        theta_p[i] = s_p - t_p
-        theta_q[i] = s_q - t_q
-        sum_p += theta_p[i]
-        sum_q += theta_q[i]
-    return CostateState(p_next.p + sum_p, p_next.q + sum_q)
+    return _adjoint_step(tab.xi_plan, tab, op, model, eps, stages, p_next, h)
 
 
 def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> AdjointSweepRecord:
     """Full backward sweep from the terminal costate to time zero.
 
-    form "ark", the default, uses the coefficient-matrix step and falls back
-    to "xi" automatically when the tableau has a zero weight; form_used
-    names the step that ran.  form "xi" runs the xi step on any tableau, for
-    checks that compare the two.  The trajectory must have been stored with
+    form "ark", the default, runs the ark plan and falls back to "xi"
+    automatically when the tableau has a zero weight; form_used names the
+    plan that ran.  form "xi" runs the xi plan on any tableau, for checks
+    that compare the two.  The trajectory must have been stored with
     stages.
     """
     if form not in FORMS:

@@ -26,7 +26,8 @@ import numpy as np
 from .core import RelaxConfig, burgers_model, make_grid
 from .tableau import ImexTableau, builtin_tableau, check_order, load_tableau_file
 from .forward import DivergenceError, export_trajectory
-from .optimize import ControlProblem, SubcharacteristicError, export_trace, steepest_descent
+from .optimize import (DEFAULT_ALPHA, ControlProblem, SubcharacteristicError, export_trace,
+                       steepest_descent)
 from .output import write_csv
 from .studies import (_default_u0, consistency_checks, temporal_order_study,
                       tracking_problem, tracking_table, export_order_study,
@@ -42,7 +43,7 @@ class RunConfig:
     The defaults reproduce the reference tracking setup: Burgers flux on
     [0, 2*pi], N = 300 cells, T = 2.0, eps = 1e-6, CFL constant 0.5,
     IMEX-Euler, first-order upwinding, stopping tolerance 1e-2, and the
-    calibrated descent step 0.097 that gives the reference iteration counts.
+    descent step DEFAULT_ALPHA = 0.097 of the reference iteration counts.
     seed seeds the random vectors of check's transpose dot test.
     """
     x_min: float = 0.0
@@ -55,7 +56,7 @@ class RunConfig:
     c_cfl: float = 0.5
     tableau: str = "imex-euler"
     scheme: str = "upwind1"
-    alpha: float = 0.097
+    alpha: float = DEFAULT_ALPHA
     tol: float = 1e-2
     max_iter: int = 500
     seed: int = 0

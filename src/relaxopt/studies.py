@@ -18,7 +18,7 @@ from .tableau import ImexTableau, builtin_tableau, check_order
 from .spatial import apply_dx_linearized, apply_dx_transpose
 from .forward import solve_forward
 from .adjoint import FORMS, solve_adjoint, assemble_gradient
-from .optimize import (ControlProblem, steepest_descent, fd_gradient,
+from .optimize import (DEFAULT_ALPHA, ControlProblem, steepest_descent, fd_gradient,
                        _frozen_speed_problem)
 from .output import write_csv
 
@@ -201,7 +201,7 @@ def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
 
 
 def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
-                   alpha: float = 0.097, tol: float = 1e-2,
+                   alpha: float = DEFAULT_ALPHA, tol: float = 1e-2,
                    max_iter: int = 500) -> List[TrackingTableRow]:
     """Run the tracking experiment once per grid size and tabulate the results.
 

@@ -2,10 +2,12 @@
 
 A tableau pair combines an explicit method (strictly lower triangular matrix,
 used for the transport term) with a diagonally implicit method (lower
-triangular, used for the stiff source).  The adjoint time stepper reuses the
-same pair through derived coefficient matrices; whether the coupled
-forward/adjoint system retains third order depends on extra algebraic
-conditions that `check_order` evaluates alongside the standard ones.
+triangular, used for the stiff source).  The adjoint time step walks one of
+two coefficient plans built with the pair: the ark plan from the derived
+coefficient matrices, which need every weight nonzero, or the xi plan from
+the entries themselves.  Whether the coupled forward/adjoint system retains
+third order depends on extra algebraic conditions that `check_order`
+evaluates alongside the standard ones.
 """
 from __future__ import annotations
 
@@ -69,12 +71,16 @@ class ImexTableau:
 
     a_tilde is strictly lower triangular (explicit), a_impl lower triangular
     with diagonal allowed (diagonally implicit).  The abscissae c_tilde and c
-    are the row sums of the respective matrices.  `plan` and `adjoint_coeffs`
-    are derived from the entries when the pair is built.  `plan` is the step
-    plan imex_step iterates, so a step never indexes or compares the
-    coefficient arrays.  `adjoint_coeffs` is adjoint_coeffs(pair), the
-    matrices of the ark adjoint step, or None when a weight is zero and the
-    matrices are undefined; solve_adjoint then runs the xi step.
+    are the row sums of the respective matrices.  `plan`, `xi_plan` and
+    `adjoint_coeffs` are derived from the entries when the pair is built.
+    `plan` is the step plan imex_step iterates, so a step never indexes or
+    compares the coefficient arrays.  `xi_plan` is the adjoint step plan (see
+    _adjoint_plan) of the xi form, defined for any weights: the xi recursion
+    divided by h, whose stage variables are the ark form's scaled by the
+    weights.
+    `adjoint_coeffs` is adjoint_coeffs(pair), whose plan is the ark form's, or
+    None when a weight is zero and its matrices are undefined; solve_adjoint
+    then runs the xi plan.
     """
 
     name: str
@@ -86,6 +92,7 @@ class ImexTableau:
     c_tilde: np.ndarray
     c: np.ndarray
     plan: StepPlan = field(init=False, repr=False, compare=False)
+    xi_plan: tuple = field(init=False, repr=False, compare=False)
     adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,6 +118,8 @@ class ImexTableau:
             stages=tuple((_pairs(range(i), at[i], ai[i]), float(ai[i, i])) for i in range(s)),
             weights=_pairs(range(s), self.w_tilde, self.w))
         object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "xi_plan", _adjoint_plan(
+            self.w_tilde, self.w, at.T, at.T, ai.T, ai.T, tuple((j, 1.0, 1.0) for j in range(s))))
         try:
             coeffs = adjoint_coeffs(self)
         except ZeroWeightError:
@@ -142,13 +151,11 @@ class AdjointCoeffs:
     gamma/gamma_tilde are the row sums of alpha/alpha_tilde; they enter the
     third-order branch conditions.
 
-    `plan` is derived from the matrices: the coefficients adjoint_step_ark
-    combines, as Python floats, one entry per stage in the order the sweep
-    visits them (i = s-1 down to 0).  Entry i is (i, coupled, trans, src):
-    coupled holds (j, w_tilde[j] - alpha_tilde[i, j], w[j] - alpha[i, j]) for
-    j > i where either difference is nonzero, trans the nonzero
-    (j, w_tilde[j] - beta_tilde[i, j]) for j >= i, and src the nonzero
-    (j, w[j] - beta[i, j]) for j > i.  The weights are the diagonals,
+    `plan` is the ark form's adjoint step plan (see _adjoint_plan), derived
+    from the matrices.  Its coupled coefficients are w_tilde[j] -
+    alpha_tilde[i, j] and w[j] - alpha[i, j], its transport and source ones
+    w_tilde[j] - beta_tilde[i, j] and w[j] - beta[i, j], and its stage rows
+    start at 1.0.  The weights of its update row are the diagonals,
     alpha_tilde[j, j] = w_tilde[j] and alpha[j, j] = w[j] exactly, because
     a_tilde[j, j] = 0.
     """
@@ -163,14 +170,30 @@ class AdjointCoeffs:
 
     def __post_init__(self):
         wt, w = np.diag(self.alpha_tilde), np.diag(self.alpha)
-        s = len(wt)
-        plan = tuple(
-            (i,
-             _pairs(range(i + 1, s), wt - self.alpha_tilde[i], w - self.alpha[i]),
-             _nonzero(range(i, s), wt - self.beta_tilde[i]),
-             _nonzero(range(i + 1, s), w - self.beta[i]))
-            for i in reversed(range(s)))
-        object.__setattr__(self, "plan", plan)
+        ones = np.ones(len(wt))
+        object.__setattr__(self, "plan", _adjoint_plan(
+            ones, ones, wt - self.alpha_tilde, w - self.alpha, wt - self.beta_tilde,
+            w - self.beta, _pairs(range(len(wt)), wt, w)))
+
+
+def _adjoint_plan(start_t, start_q, coupled_t, coupled_s, trans, src, weights) -> tuple:
+    """The coefficients of one adjoint step, as Python floats, in the order it uses them.
+
+    One row per stage, i = s-1 down to 0, then the update row.  Stage row i
+    is (i, start_t[i], start_q[i], coupled, trans, src): the stage's
+    accumulator starts at start_t[i] times the next costate and the q part
+    of its source costate at start_q[i] times its q; coupled holds
+    (j, coupled_t[i, j], coupled_s[i, j]) for j > i where either entry is
+    nonzero, trans the nonzero (j, trans[i, j]) for j >= i and src the
+    nonzero (j, src[i, j]) for j > i.  The update row is
+    (None, 1.0, 1.0, weights, (), ()), weights in the format of coupled.
+    """
+    s = len(start_t)
+    rows = tuple((i, float(start_t[i]), float(start_q[i]),
+                  _pairs(range(i + 1, s), coupled_t[i], coupled_s[i]),
+                  _nonzero(range(i, s), trans[i]), _nonzero(range(i + 1, s), src[i]))
+                 for i in reversed(range(s)))
+    return rows + ((None, 1.0, 1.0, weights, (), ()),)
 
 
 def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:

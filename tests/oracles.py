@@ -20,7 +20,9 @@ one step of each (used by test_step_oracles.py and test_random_pairs.py).
 `adjoint_step_zeta` is the adjoint step in increment form, a third recursion
 algebraically equal to the library's ark and xi steps; `zeta_gradient` sweeps
 it over a stored trajectory.  The forms agree to round-off, not bit for bit
-(test_adjoint.py, test_acceptance.py, test_random_pairs.py).
+(test_adjoint.py, test_acceptance.py, test_random_pairs.py), and
+`assert_steps_match_reference` also checks one xi step against it on every
+pair.  Both references take the source transpose from `_source_transpose`.
 
 `random_pair` draws a random IMEX pair with zero weights among its entries.
 """
@@ -30,8 +32,8 @@ from typing import List
 
 import numpy as np
 
-from relaxopt.adjoint import (AdjointSweepRecord, CostateState, Stage, _source_transpose,
-                              adjoint_step_ark, assemble_gradient, terminal_costate)
+from relaxopt.adjoint import (AdjointSweepRecord, CostateState, Stage, adjoint_step_ark,
+                              adjoint_step_xi, assemble_gradient, terminal_costate)
 from relaxopt.core import FluxModel, RelaxState
 from relaxopt.forward import DivergenceError, imex_step
 from relaxopt.spatial import SpatialOp, apply_dx, apply_dx_transpose
@@ -251,6 +253,11 @@ def _transport_transpose(op, p, q, base):
     return out.u, out.v
 
 
+def _source_transpose(fprime, eps, q):
+    """Costate contribution of the stiff source: (f'(U) q / eps, -q / eps)."""
+    return fprime * q / eps, -q / eps
+
+
 def _costate_lincomb(x: CostateState, terms):
     """_lincomb on both components: x + sum of c * (t_p, t_q) over terms (c, (t_p, t_q))."""
     return (_lincomb(x.p, [(c, t[0]) for c, t in terms]),
@@ -379,8 +386,13 @@ def random_pair(rng, zero_weights=True):
 def assert_steps_match_reference(tab, op, model, eps, y, h, p_next):
     """imex_step and, when every weight is nonzero, adjoint_step_ark equal the references.
 
-    Asserts bitwise equality of the step, its stages and the returned costate,
-    and that p_next is left unchanged; returns whether the ark step ran.
+    Asserts bitwise equality of the step, its stages and the ark step's
+    costate, and that adjoint_step_xi, which runs on every pair, agrees with
+    adjoint_step_zeta to round-off.  The source transpose scales q by 1/eps
+    and the closed-form stage solve divides h/eps back out, so round-off is
+    measured against (1 + h/eps) times the size of p_next.  Neither adjoint
+    step may write into p_next or any stage array.  Returns whether the ark
+    step ran.
     """
     y1, stages = imex_step(tab, op, model, eps, y, h)
     r1, ref_stages = ref_imex_step(tab, op, model, eps, y, h)
@@ -388,13 +400,20 @@ def assert_steps_match_reference(tab, op, model, eps, y, h, p_next):
     assert len(stages) == len(ref_stages) == tab.s
     for st, ref in zip(stages, ref_stages):
         assert np.array_equal(st.u, ref.u) and np.array_equal(st.v, ref.v)
+    inputs = [p_next.p, p_next.q] + [arr for st in stages for arr in (st.u, st.v)]
+    kept = [arr.copy() for arr in inputs]
+
+    got = adjoint_step_xi(tab, op, model, eps, stages, p_next, h)
+    want = adjoint_step_zeta(tab, op, model, eps, stages, p_next, h)
+    tol = 1e-14 * (1.0 + h / eps) * max(np.max(np.abs(p_next.p)), np.max(np.abs(p_next.q)))
+    assert np.max(np.abs(got.p - want.p)) <= tol and np.max(np.abs(got.q - want.q)) <= tol, tab
     try:
         coeffs = adjoint_coeffs(tab)
     except ZeroWeightError:
-        return False
-    kept = CostateState(p_next.p.copy(), p_next.q.copy())
-    got = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
-    want = ref_adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
-    assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
-    assert np.array_equal(p_next.p, kept.p) and np.array_equal(p_next.q, kept.q)
-    return True
+        coeffs = None
+    else:
+        got = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
+        want = ref_adjoint_step_ark(coeffs, tab, op, model, eps, stages, p_next, h)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+    assert all(np.array_equal(arr, k) for arr, k in zip(inputs, kept))
+    return coeffs is not None

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from relaxopt.core import RelaxConfig, burgers_model, make_grid, subchar_speed
 from relaxopt.adjoint import assemble_gradient, solve_adjoint
 from relaxopt.forward import solve_forward
-from relaxopt.optimize import (ControlProblem, SubcharacteristicError, cost,
+from relaxopt.optimize import (DEFAULT_ALPHA, ControlProblem, SubcharacteristicError, cost,
                                export_trace, fd_gradient, reduced_cost, steepest_descent,
                                _frozen_speed_problem)
+from relaxopt.cli import RunConfig
+from relaxopt.studies import tracking_problem, tracking_table
 
 
 def _problem(n=50, t_final=0.5, tableau="ars-222", u_d=None, eps=1e-6, a=None):
@@ -106,6 +109,19 @@ def test_descent_reproduces_reference_iteration_count():
     assert len(rep.grad_norm_history) == rep.iterations
     assert all(b < a for a, b in zip(hist, hist[1:]))
     assert rep.cost_increases == 0
+
+
+def test_bare_descent_call_converges_on_the_readme_problem():
+    # the README's library-use example, with the default step every reader shares
+    template = ControlProblem(grid=make_grid(0.0, 2.0 * np.pi, 100), model=burgers_model(),
+                              relax=RelaxConfig(epsilon=1e-6), t_final=2.0,
+                              u_d=np.zeros(100), tableau="imex-euler")
+    _, rep = steepest_descent(tracking_problem(template, 100), np.full(100, 0.5))
+    assert rep.converged and rep.iterations == 44 and rep.cost_increases == 0
+    assert DEFAULT_ALPHA == 0.097
+    for fn in (steepest_descent, tracking_table):
+        assert inspect.signature(fn).parameters["alpha"].default == DEFAULT_ALPHA
+    assert RunConfig().alpha == DEFAULT_ALPHA
 
 
 def test_descent_iteration_cap_reports_not_converged():

@@ -28,7 +28,7 @@ class _Boom:
 
 def _trace(path):
     export_trace(OptimizerReport(iterations=2, final_cost=0.5, cost_history=[1.0, _Boom(), 0.5],
-                                 step_size=0.1, converged=False, wall_time=0.0,
+                                 converged=False, wall_time=0.0,
                                  grad_norm_history=[2.0, 1.0], iter_wall_times=[0.1, 0.2]),
                  path, header="h")
 

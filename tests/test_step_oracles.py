@@ -4,8 +4,10 @@ imex_step and adjoint_step_ark take their coefficients from the plans built
 with the tableau and the adjoint coefficients; the references in oracles.py
 slice and compare the coefficient arrays on every step.  Each element must
 see the same floating-point operations in the same order, so
-assert_steps_match_reference compares every array with np.array_equal, not
-with a tolerance.  Random pairs are covered in test_random_pairs.py.
+assert_steps_match_reference compares those arrays with np.array_equal, not
+with a tolerance.  It also checks adjoint_step_xi against the zeta-form
+oracle to round-off, and that no adjoint step writes into its inputs.
+Random pairs are covered in test_random_pairs.py.
 """
 import numpy as np
 import pytest

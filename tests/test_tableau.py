@@ -254,6 +254,13 @@ def test_step_plan_skips_negative_zero_entries():
     assert tab.plan.weights == ((0, -0.0, 0.5), (1, 1.0, 0.5))
 
 
+def _adjoint_plan_floats(plan):
+    """Every coefficient of an adjoint step plan is a Python float."""
+    return all(_all_floats(start_t, start_q, *(c for t in coupled for c in t[1:]),
+                           *(c for t in trans + src for c in t[1:]))
+               for _, start_t, start_q, coupled, trans, src in plan)
+
+
 def test_ark_plan_holds_the_nonzero_coefficient_differences():
     checked = 0
     for tab in _plan_pairs():
@@ -272,12 +279,29 @@ def test_ark_plan_holds_the_nonzero_coefficient_differences():
                           if wt[j] - cf.beta_tilde[i, j] != 0.0)
             src = tuple((j, float(w[j] - cf.beta[i, j])) for j in range(i + 1, s)
                         if w[j] - cf.beta[i, j] != 0.0)
-            want.append((i, coupled, trans, src))
+            want.append((i, 1.0, 1.0, coupled, trans, src))
+        want.append((None, 1.0, 1.0, tab.plan.weights, (), ()))
         assert cf.plan == tuple(want), tab
-        assert all(_all_floats(*(c for t in entry[1] for c in t[1:]),
-                               *(c for t in entry[2] + entry[3] for c in t[1:]))
-                   for entry in cf.plan)
+        assert _adjoint_plan_floats(cf.plan)
     assert checked >= 30
+
+
+def test_xi_plan_holds_the_pair_entries_for_any_weights():
+    zero_weights = 0
+    for tab in _plan_pairs():
+        zero_weights += tab.adjoint_coeffs is None
+        s, at, ai = tab.s, tab.a_tilde, tab.a_impl
+        want = []
+        for i in reversed(range(s)):
+            coupled = tuple((j, float(at[j, i]), float(at[j, i]))
+                            for j in range(i + 1, s) if at[j, i] != 0.0)
+            trans = tuple((j, float(ai[j, i])) for j in range(i, s) if ai[j, i] != 0.0)
+            src = tuple((j, float(ai[j, i])) for j in range(i + 1, s) if ai[j, i] != 0.0)
+            want.append((i, float(tab.w_tilde[i]), float(tab.w[i]), coupled, trans, src))
+        want.append((None, 1.0, 1.0, tuple((j, 1.0, 1.0) for j in range(s)), (), ()))
+        assert tab.xi_plan == tuple(want), tab
+        assert _adjoint_plan_floats(tab.xi_plan)
+    assert zero_weights >= 20
 
 
 def test_plans_stay_out_of_repr_and_follow_replace():
@@ -289,8 +313,12 @@ def test_plans_stay_out_of_repr_and_follow_replace():
     reweighted = dataclasses.replace(tab, w=np.array([0.25, 0.75]))
     assert reweighted.plan.weights == ((0, 0.5, 0.25), (1, 0.5, 0.75))
     assert reweighted.plan.stages == tab.plan.stages
-    with pytest.raises(ValueError):
-        dataclasses.replace(tab, plan=tab.plan)
+    assert renamed.xi_plan == tab.xi_plan
+    assert [row[:3] for row in reweighted.xi_plan[:2]] == [(1, 0.5, 0.75), (0, 0.5, 0.25)]
+    assert [row[3:] for row in reweighted.xi_plan] == [row[3:] for row in tab.xi_plan]
+    for derived in ("plan", "xi_plan"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(tab, **{derived: getattr(tab, derived)})
 
 
 def test_pair_keeps_its_adjoint_coeffs():
