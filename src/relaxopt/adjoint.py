@@ -31,9 +31,12 @@ apply_dx_transpose on its own sums, wrapped without re-validation
 A plan holds the nonzero coefficients as Python floats, so a sweep derives
 no coefficients and a step indexes no tableau array, does no numpy-scalar
 arithmetic and builds no term lists.  Each combination is one loop over its
-plan row, with no Python call per term.  The step stores the source's second
-component as q / eps and puts its sign on the coefficients, and wraps the
-costate it returns without re-validating it.  Through the ark plan it is
+plan row, with no Python call per term: as in imex_step, the first term
+allocates the result as x * c and adds the base, and every later term is
+formed in the op's scratch array (SpatialOp.work.tmp) and added in place.
+The step stores the source's second component as q / eps and puts its sign
+on the coefficients, and wraps the costate it returns without re-validating
+it.  Through the ark plan it is
 bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
@@ -112,7 +115,8 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
     is eliminated in closed form, mirroring the forward stage solve.  Each
     combination starts from p_next, scaled by the row's start coefficient
     unless that is 1.0: a scaled start allocates the result, else the first
-    term does, and later terms add into it left to right, so p_next is never
+    term does (as x * c, to which p_next is added), and later terms, each
+    formed in op.work.tmp, add into it left to right, so p_next is never
     written.  The update is one more row after the stages.
 
     The source transpose reads only the q part of a stage costate, so the p
@@ -124,6 +128,7 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
     p, q = p_next.p, p_next.q
     trans = [None] * tab.s   # D^T of the tilde stage costates; they contribute -trans
     src = [None] * tab.s     # source contributions of the stage costates, q part unsigned
+    tmp = op.work.tmp        # one product term, before it is added
     for i, start_t, start_q, coupled, trans_terms, src_terms in plan:
         acc_p, acc_q = (p, q) if start_t == 1.0 else (start_t * p, start_t * q)
         for j, cf_t, cf_s in coupled:
@@ -131,20 +136,28 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                 c = -h * cf_t
                 t_p, t_q = trans[j]
                 if acc_p is p:   # every term adds to both, so acc_q is q exactly when acc_p is p
-                    acc_p = p + c * t_p
-                    acc_q = q + c * t_q
+                    acc_p = t_p * c
+                    acc_p += p
+                    acc_q = t_q * c
+                    acc_q += q
                 else:
-                    acc_p += c * t_p
-                    acc_q += c * t_q
+                    np.multiply(t_p, c, out=tmp)
+                    acc_p += tmp
+                    np.multiply(t_q, c, out=tmp)
+                    acc_q += tmp
             if cf_s:
                 c = h * cf_s
                 s_p, s_q = src[j]
                 if acc_p is p:
-                    acc_p = p + c * s_p
-                    acc_q = q + -c * s_q
+                    acc_p = s_p * c
+                    acc_p += p
+                    acc_q = s_q * -c
+                    acc_q += q
                 else:
-                    acc_p += c * s_p
-                    acc_q += -c * s_q
+                    np.multiply(s_p, c, out=tmp)
+                    acc_p += tmp
+                    np.multiply(s_q, -c, out=tmp)
+                    acc_q += tmp
         if i is None:
             out = object.__new__(CostateState)   # the step's own sums: no re-validation
             out.p, out.q = acc_p, acc_q
@@ -156,12 +169,16 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
         for terms, part in ((trans_terms, trans), (src_terms, src)):
             for j, cf in terms:
                 if b_q is q:
-                    b_q = q + -(h * cf) * part[j][1]
+                    b_q = part[j][1] * -(h * cf)
+                    b_q += q
                 else:
-                    b_q += -(h * cf) * part[j][1]
+                    np.multiply(part[j][1], -(h * cf), out=tmp)
+                    b_q += tmp
         k = h * tab.plan.stages[i][1] / eps
         pq = b_q / (1.0 + k)
-        src[i] = (np.asarray(model.flux_deriv(stages[i].u), float) * pq / eps, pq / eps)
+        s_p = np.asarray(model.flux_deriv(stages[i].u), float) * pq
+        s_p /= eps
+        src[i] = (s_p, pq / eps)
 
 
 def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,

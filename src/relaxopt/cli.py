@@ -232,9 +232,10 @@ def cmd_check(cfg: RunConfig) -> int:
     tab = _tableau(cfg)
     report = check_order(tab)
     print(f"tableau {tab.name}: {tab.s} stages")
-    print(f"  forward order {report.forward_order}, "
-          f"adjoint system order {report.adjoint_system_order} "
-          f"(third-order branch: {report.branch_used})")
+    print(f"  forward order {report.forward_order}, which is also the initial-data "
+          f"gradient's target (third-order branch: {report.branch_used})")
+    print(f"  adjoint system order {report.adjoint_system_order}, which applies to "
+          f"controls inside the dynamics")
     satisfied = [v for key, v in report.condition_residuals.items()
                  if any(key.startswith(f"order{j}")
                         for j in range(1, report.forward_order + 1))]
@@ -265,8 +266,10 @@ def cmd_order_study(cfg: RunConfig) -> int:
     print(f"{tab.name}: forward slope {result.observed_order:.3f} "
           f"(target {result.target_order}), gradient slope "
           f"{result.observed_gradient_order:.3f} "
-          f"(adjoint target {result.adjoint_target_order})"
+          f"(target {result.target_order}, the forward order: the control is the initial data)"
           + (" [inconclusive]" if result.inconclusive else ""))
+    print(f"  adjoint system order {result.adjoint_target_order} applies to controls "
+          f"inside the dynamics")
     print(f"wrote {path}")
     return 0
 

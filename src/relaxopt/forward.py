@@ -15,10 +15,13 @@ export_trajectory writes its frames as they are reached.
 A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
 built once with the pair: the nonzero entries as Python floats, so a step
 neither slices the coefficient arrays nor compares numpy scalars with zero.
-Each combination of a stage or of the update is one loop over its plan row:
-the first term allocates the result and later terms add into it in place,
-with no Python call per term.  Finite values are checked once per step, on
-the result, with one reduction over both fields, the dot product u.v: any
+Each combination of a stage or of the update is one loop over its plan row,
+with no Python call per term: the first term allocates the result as
+x * c and adds the base to it, which IEEE arithmetic rounds exactly as
+base + c * x, and every later term is formed in the op's scratch array
+(SpatialOp.work.tmp) and added in place, so a term allocates no
+temporary.  Finite values are checked once per step, on the result, with
+one reduction over both fields, the dot product u.v: any
 non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so only
 a non-finite product pays for the elementwise scan, and a failure names the
 first non-finite stage (see DivergenceError).  The stage states and the
@@ -151,6 +154,7 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
+    tmp = op.work.tmp                       # one product term, before it is added
     # the s stage rows, then the update row (weights, no diagonal)
     for terms, diag in (*tab.plan.stages, (tab.plan.weights, None)):
         ru, rv = u, v
@@ -158,23 +162,31 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
             if ct:
                 c = -h * ct
                 if ru is u:
-                    ru = u + c * trans_u[j]
+                    ru = trans_u[j] * c
+                    ru += u
                 else:
-                    ru += c * trans_u[j]
+                    np.multiply(trans_u[j], c, out=tmp)
+                    ru += tmp
                 if rv is v:
-                    rv = v + c * trans_v[j]
+                    rv = trans_v[j] * c
+                    rv += v
                 else:
-                    rv += c * trans_v[j]
+                    np.multiply(trans_v[j], c, out=tmp)
+                    rv += tmp
             if ci:
                 if rv is v:
-                    rv = v + (h * ci) * source[j]
+                    rv = source[j] * (h * ci)
+                    rv += v
                 else:
-                    rv += (h * ci) * source[j]
+                    np.multiply(source[j], h * ci, out=tmp)
+                    rv += tmp
         if diag is None:
             break
         src = np.asarray(model.flux(ru), float) - rv
         src /= eps + h * diag
-        stage = _pair(ru, rv + (h * diag) * src)
+        sv = src * (h * diag)
+        sv += rv
+        stage = _pair(ru, sv)
         stages.append(stage)
         g = apply_dx(op, stage)
         trans_u.append(g.u)

@@ -48,10 +48,23 @@ patterns with the test-only reference in tests/oracles.py.  A shifted view never
 leaves the module: the arrays the operators return own their data, and
 `apply_dx` and `apply_dx_transpose` wrap them without re-validating them
 (core._pair).
+
+The work buffers belong to the operator.  SpatialOp.work, made once with the
+op, holds a*u, the upwind faces and _divergence's face fields with their
+ghost cells, _char_diffs' families and differences, the transpose's
+differences and face cotangents, the shifted views of each (made once), and
+one scratch array of length N in which imex_step and the adjoint step form
+each product term of their sums.  The stencils write their intermediates
+there with out=, so under upwind1 neither apply_dx nor apply_dx_transpose
+allocates or slices a buffer of its own.  The arrays they return are still
+freshly allocated and own their data, so no later call overwrites an
+earlier result.  Every call on an op writes the same buffers, so an op must
+not be shared between threads: solve_forward makes a fresh op for every
+solve, and dataclasses.replace makes one with buffers of its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,19 +73,57 @@ from .core import Grid, RelaxState, _pair
 SCHEMES = ("upwind1", "muscl2")
 
 
+class _Work:
+    """An operator's work buffers: the stencil intermediates and the step scratch.
+
+    Each buffer of length N+1 has one ghost cell; its shifted views are made
+    here once, so a stencil call slices none of them.
+    """
+
+    __slots__ = ("au", "fp", "fm_buf", "fm_cells", "fm", "u_face", "uf", "uf_prev",
+                 "v_face", "vf", "vf_prev", "w", "d", "half", "half_head", "t", "t_head",
+                 "wp", "wm_buf", "wm_next", "wm", "tmp")
+
+    def __init__(self, n: int):
+        self.au = np.empty(n)                  # a*u
+        self.fp = np.empty(n)                  # upwind w+ faces
+        self.fm_buf = np.empty(n + 1)          # upwind w- faces fm = fm_buf[1:], ghost fm_buf[n]
+        self.fm_cells, self.fm = self.fm_buf[:n], self.fm_buf[1:]
+        self.u_face = np.empty(n + 1)          # _divergence's faces uf = u_face[1:], ghost [0]
+        self.uf, self.uf_prev = self.u_face[1:], self.u_face[:n]
+        self.v_face = np.empty(n + 1)
+        self.vf, self.vf_prev = self.v_face[1:], self.v_face[:n]
+        self.w = np.empty((2, n + 1))          # _char_diffs
+        self.d = np.empty((2, n + 1))
+        self.half = np.empty(n)                # apply_dx_transpose's differences
+        self.half_head = self.half[:-1]
+        self.t = np.empty(n)
+        self.t_head = self.t[:-1]
+        self.wp = np.empty(n)                  # fp_bar
+        self.wm_buf = np.empty(n + 1)          # fm_bar = wm_buf[:n], ghost wm_buf[0]
+        self.wm_next, self.wm = self.wm_buf[1:], self.wm_buf[:n]
+        self.tmp = np.empty(n)                 # one product term of a step's sums
+
+
 @dataclass(frozen=True)
 class SpatialOp:
-    """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod)."""
+    """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod).
+
+    `work` holds the operator's work buffers (_Work), made with it; an op
+    must not be shared between threads (see the module docstring).
+    """
 
     grid: Grid
     a: float
     scheme: str = "upwind1"
+    work: _Work = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}'; available: {', '.join(SCHEMES)}")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
+        object.__setattr__(self, "work", _Work(self.grid.n_cells))
 
     @property
     def linear(self) -> bool:
@@ -133,12 +184,12 @@ def _char_diffs(op: SpatialOp, u, v):
     d[:, 0].  So d[:, :-1] and d[:, 1:] are the limiter's pairs (d[i], d[i+1]).
     """
     n = u.size
-    au = op.a * u
-    w = np.empty((2, n + 1))
+    wk = op.work
+    au, w, d = wk.au, wk.w, wk.d
+    np.multiply(u, op.a, out=au)
     np.add(v, au, out=w[0, 1:])
     np.subtract(v, au, out=w[1, 1:])
     w[:, 0] = w[:, n]
-    d = np.empty((2, n + 1))
     np.subtract(w[:, 1:], w[:, :-1], out=d[:, :n])
     d[:, n] = d[:, 0]
     return w, d
@@ -166,20 +217,18 @@ def _divergence(op: SpatialOp, fp, fm):
     last face, N-1/2, which wraps around to face -1/2.
     """
     a, dx = op.a, op.grid.dx
+    wk = op.work
     n = fp.size
-    u_face = np.empty(n + 1)
-    uf = u_face[1:]
+    uf, vf = wk.uf, wk.vf
     np.subtract(fp, fm, out=uf)
     uf /= 2.0 * a
-    u_face[0] = u_face[n]
-    v_face = np.empty(n + 1)
-    vf = v_face[1:]
+    wk.u_face[0] = wk.u_face[n]
     np.add(fp, fm, out=vf)
     vf *= 0.5
-    v_face[0] = v_face[n]
-    out_u = vf - v_face[:n]
+    wk.v_face[0] = wk.v_face[n]
+    out_u = vf - wk.vf_prev
     out_u /= dx
-    out_v = uf - u_face[:n]
+    out_v = uf - wk.uf_prev
     out_v *= a * a
     out_v /= dx
     return out_u, out_v
@@ -192,13 +241,14 @@ def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     if u.shape != (n,) or v.shape != (n,):
         _check_state(op, u, v)   # raises
     if op.linear:
-        # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost buf[n] = buf[0]
-        au = op.a * u
-        fp = v + au
-        buf = np.empty(n + 1)
-        np.subtract(v, au, out=buf[:n])
-        buf[n] = buf[0]
-        fm = buf[1:]
+        # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost fm_buf[n] = fm_buf[0]
+        wk = op.work
+        au, fp = wk.au, wk.fp
+        np.multiply(u, op.a, out=au)
+        np.add(v, au, out=fp)
+        np.subtract(v, au, out=wk.fm_cells)
+        wk.fm_buf[n] = wk.fm_buf[0]
+        fm = wk.fm
     else:
         fp, fm = _limited_faces(op, u, v)
     out_u, out_v = _divergence(op, fp, fm)
@@ -275,22 +325,21 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     # transpose of the face-difference / back-transform stage:
     # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2,
     # from the periodic forward differences x[i] - x[i+1] of the inputs
-    half = np.empty(n)
-    np.subtract(zu[:-1], zu[1:], out=half[:-1])
+    wk = op.work
+    half, t, wp_bar = wk.half, wk.t, wk.wp
+    np.subtract(zu[:-1], zu[1:], out=wk.half_head)
     half[-1] = zu[-1] - zu[0]
     half /= dx
     half *= 0.5
-    t = np.empty(n)
-    np.subtract(zv[:-1], zv[1:], out=t[:-1])
+    np.subtract(zv[:-1], zv[1:], out=wk.t_head)
     t[-1] = zv[-1] - zv[0]
     t *= a * a
     t /= dx
     t /= 2.0 * a
-    wp_bar = t + half              # fp_bar
-    buf = np.empty(n + 1)          # fm_bar[i-1], ghost buf[0] = buf[n]
-    np.subtract(half, t, out=buf[1:])
-    buf[0] = buf[n]
-    wm_bar = buf[:n]
+    np.add(t, half, out=wp_bar)            # fp_bar
+    np.subtract(half, t, out=wk.wm_next)   # fm_bar[i-1], ghost wm_buf[0] = wm_buf[n]
+    wk.wm_buf[0] = wk.wm_buf[n]
+    wm_bar = wk.wm
 
     if not op.linear:
         # w+ face: fp = wp + sigma(wp)/2; w- face: fm[i] = (wm - sigma(wm)/2)[i+1]

@@ -1,0 +1,77 @@
+"""A SpatialOp's work buffers stay inside it.
+
+The stencils and the step sums write their intermediates into the op's
+buffers (SpatialOp.work), so every array they return must own memory apart
+from those buffers, an earlier result must survive later calls on the same
+op, and two ops must never share a buffer.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from relaxopt.adjoint import CostateState, adjoint_step_ark, adjoint_step_xi
+from relaxopt.core import RelaxState, burgers_model, make_grid
+from relaxopt.forward import imex_step
+from relaxopt.spatial import (SCHEMES, SpatialOp, apply_dx, apply_dx_linearized,
+                              apply_dx_transpose)
+from relaxopt.tableau import builtin_tableau
+
+N = 16
+
+
+def _buffers(op):
+    return [getattr(op.work, name) for name in type(op.work).__slots__]
+
+
+def _random_state(rng):
+    return RelaxState(0.5 + 0.3 * rng.standard_normal(N), rng.standard_normal(N))
+
+
+def _outputs(op, rng):
+    """Every array the stencils and both steps return for one set of random inputs."""
+    model = burgers_model()
+    base, delta = _random_state(rng), _random_state(rng)
+    out = [apply_dx(op, base), apply_dx_linearized(op, base, delta),
+           apply_dx_transpose(op, delta, base)]
+    arrays = [x for st in out for x in (st.u, st.v)]
+    h = 0.4 * op.grid.dx / op.a
+    tab = builtin_tableau("ars-222")
+    y, stages = imex_step(tab, op, model, 1e-6, base, h)
+    arrays += [y.u, y.v] + [x for st in stages for x in (st.u, st.v)]
+    p_next = CostateState(rng.standard_normal(N), rng.standard_normal(N))
+    for p in (adjoint_step_ark(tab.adjoint_coeffs, tab, op, model, 1e-6, stages, p_next, h),
+              adjoint_step_xi(tab, op, model, 1e-6, stages, p_next, h)):
+        arrays += [p.p, p.q]
+    return arrays
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_results_share_no_memory_with_the_op_buffers(scheme):
+    op = SpatialOp(make_grid(0.0, 2.0 * np.pi, N), 2.0, scheme)
+    for out in _outputs(op, np.random.default_rng(0)):
+        assert not any(np.shares_memory(out, buf) for buf in _buffers(op))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_earlier_results_survive_later_calls_on_the_same_op(scheme):
+    g = make_grid(0.0, 2.0 * np.pi, N)
+    op = SpatialOp(g, 2.0, scheme)
+    first = _outputs(op, np.random.default_rng(1))
+    kept = [x.copy() for x in first]
+    _outputs(op, np.random.default_rng(2))
+    assert all(np.array_equal(x, k) for x, k in zip(first, kept))
+    # a reused op computes bit for bit what a fresh one does
+    again = _outputs(op, np.random.default_rng(1))
+    fresh = _outputs(SpatialOp(g, 2.0, scheme), np.random.default_rng(1))
+    assert all(np.array_equal(x, k) for x, k in zip(again, kept))
+    assert all(np.array_equal(x, k) for x, k in zip(fresh, kept))
+
+
+def test_ops_share_no_buffer():
+    g = make_grid(0.0, 1.0, N)
+    op = SpatialOp(g, 1.5)
+    others = [SpatialOp(g, 1.5), SpatialOp(make_grid(0.0, 1.0, N), 1.5),
+              dataclasses.replace(op), dataclasses.replace(op, scheme="muscl2")]
+    for other in others:
+        assert not any(np.shares_memory(x, y) for x in _buffers(op) for y in _buffers(other))
