@@ -4,8 +4,8 @@ from .core import (Grid, FluxModel, RelaxState, RelaxConfig, make_grid,
                    burgers_model, advection_model, custom_model,
                    check_flux_deriv, subchar_speed, relax_init)
 from .tableau import (ImexTableau, AdjointCoeffs, OrderReport, ZeroWeightError,
-                      TableauParseError, make_imex_tableau, adjoint_coeffs,
-                      check_order, builtin_tableau, builtin_names, load_tableau_file)
+                      TableauParseError, adjoint_coeffs, check_order,
+                      builtin_tableau, builtin_names, load_tableau_file)
 from .spatial import SpatialOp, minmod, apply_dx, apply_dx_linearized, apply_dx_transpose
 from .forward import (DivergenceError, StoredStage, Trajectory, imex_step, solve_forward,
                       export_trajectory)

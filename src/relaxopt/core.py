@@ -20,40 +20,41 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic 1-D mesh; cell i is centered at x_min + (i + 1/2)*dx."""
+    """Uniform periodic 1-D mesh of n_cells cells on [x_min, x_max].
+
+    Cell i is centered at x_min + (i + 1/2)*dx, and cell n_cells-1 neighbors
+    cell 0.  dx and centers are derived from the three inputs and are not
+    constructor arguments; n_cells must be integral (8, 8.0 and np.int64(8)
+    all give the int 8).
+    """
 
     x_min: float
     x_max: float
     n_cells: int
-    dx: float
-    centers: np.ndarray
+    dx: float = field(init=False, compare=False)
+    centers: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
-        if not self.x_max > self.x_min:
-            raise ValueError(
-                f"degenerate interval: x_max={self.x_max} must exceed x_min={self.x_min}"
-            )
-        if not self.dx > 0 or len(self.centers) != self.n_cells:
-            raise ValueError("inconsistent grid fields")
+        n_cells = self.n_cells
+        if not float(n_cells).is_integer():
+            raise ValueError(f"n_cells must be an integer, got {n_cells}")
+        n_cells = int(n_cells)
+        if n_cells < 2:
+            raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+        x_min, x_max = self.x_min, self.x_max
+        if not (np.isfinite(x_min) and np.isfinite(x_max)):
+            raise ValueError(f"grid bounds must be finite, got x_min={x_min}, x_max={x_max}")
+        if not x_max > x_min:
+            raise ValueError(f"degenerate interval: x_max={x_max} must exceed x_min={x_min}")
+        dx = (x_max - x_min) / n_cells
+        object.__setattr__(self, "n_cells", n_cells)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "centers", x_min + (np.arange(n_cells) + 0.5) * dx)
 
 
 def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
-    """Build a uniform periodic grid of cell centers on [x_min, x_max].
-
-    Cell n_cells-1 neighbors cell 0 (periodic topology).
-    """
-    n_cells = int(n_cells)
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
-    if not (np.isfinite(x_min) and np.isfinite(x_max)):
-        raise ValueError(f"grid bounds must be finite, got x_min={x_min}, x_max={x_max}")
-    if not x_max > x_min:
-        raise ValueError(f"degenerate interval: x_max={x_max} must exceed x_min={x_min}")
-    dx = (x_max - x_min) / n_cells
-    centers = x_min + (np.arange(n_cells) + 0.5) * dx
-    return Grid(float(x_min), float(x_max), n_cells, dx, centers)
+    """Grid(float(x_min), float(x_max), n_cells): the uniform periodic grid on [x_min, x_max]."""
+    return Grid(float(x_min), float(x_max), n_cells)
 
 
 @dataclass(frozen=True)

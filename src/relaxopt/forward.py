@@ -207,15 +207,9 @@ def _plan_steps(t_final: float, h: float) -> np.ndarray:
     if t_final == 0.0:
         return np.zeros(0)
     n_full = int(np.floor(t_final / h + 1e-12))
-    rem = t_final - n_full * h
-    if n_full == 0:
-        return np.array([t_final])
-    if rem > 1e-12 * max(1.0, t_final):
-        dts = np.full(n_full + 1, h)
-        dts[-1] = rem
-    else:
-        dts = np.full(n_full, h)
-        dts[-1] = t_final - (n_full - 1) * h
+    n = max(1, n_full + (t_final - n_full * h > 1e-12 * max(1.0, t_final)))
+    dts = np.full(n, h)
+    dts[-1] = t_final - (n - 1) * h
     return dts
 
 

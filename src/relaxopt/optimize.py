@@ -81,17 +81,26 @@ class SubcharacteristicError(RuntimeError):
 class OptimizerReport:
     """Descent run summary; cost_history[k] is the cost after k control updates.
 
+    iterations, final_cost and cost_increases are derived from cost_history.
     converged says only that the last cost fell below tol; cost_increases
     says whether the descent went down on the way there.
     """
 
-    iterations: int
-    final_cost: float
     cost_history: List[float]
     converged: bool
     wall_time: float
     grad_norm_history: List[float] = field(default_factory=list)
     iter_wall_times: List[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Number of control updates: one fewer than the costs recorded."""
+        return len(self.cost_history) - 1
+
+    @property
+    def final_cost(self) -> float:
+        """Cost of the last control, cost_history[-1]."""
+        return self.cost_history[-1]
 
     @property
     def cost_increases(self) -> int:
@@ -203,9 +212,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
         iterations += 1
         iter_times.append(time.perf_counter() - t_start)
 
-    final = costs[-1]
-    report = OptimizerReport(iterations=iterations, final_cost=final,
-                             cost_history=costs, converged=final < tol,
+    report = OptimizerReport(cost_history=costs, converged=costs[-1] < tol,
                              wall_time=time.perf_counter() - t_start,
                              grad_norm_history=grad_norms,
                              iter_wall_times=iter_times)

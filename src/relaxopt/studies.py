@@ -8,7 +8,7 @@ externally.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,18 +36,20 @@ class OrderStudyResult:
 
     levels / gradient_levels hold (h, error) pairs sorted by decreasing h; the
     forward and gradient parts run on their own grids, so their h sequences
-    differ.  observed_* are least-squares slopes of log error vs log h.
+    differ.  observed_order, observed_gradient_order and inconclusive are
+    derived from the levels with fit_order and are not constructor arguments:
+    the observed_* are least-squares slopes of log error vs log h, and
     inconclusive is set when either error sequence fails to decrease
     monotonically (the data is still emitted).
     """
     tableau: str
     levels: List[Tuple[float, float]]
-    observed_order: float
+    observed_order: float = field(init=False)
     target_order: int
     gradient_levels: List[Tuple[float, float]]
-    observed_gradient_order: float
+    observed_gradient_order: float = field(init=False)
     adjoint_target_order: int
-    inconclusive: bool
+    inconclusive: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.levels) < 3 or len(self.gradient_levels) < 3:
@@ -56,6 +58,9 @@ class OrderStudyResult:
             hs = [h for h, _ in seq]
             if any(h_next >= h_prev for h_prev, h_next in zip(hs, hs[1:])):
                 raise ValueError("levels must be sorted by decreasing h")
+        self.observed_order, mono_f = fit_order(self.levels)
+        self.observed_gradient_order, mono_g = fit_order(self.gradient_levels)
+        self.inconclusive = not (mono_f and mono_g)
 
 
 @dataclass
@@ -83,13 +88,14 @@ def fit_order(levels: Sequence[Tuple[float, float]]) -> Tuple[float, bool]:
     """Least-squares slope of log(err) vs log(h) and whether errors decrease monotonically.
 
     Zero errors (exact agreement, e.g. a linear problem) make the slope
-    undefined; those levels are dropped from the fit and do not break
-    monotonicity.
+    undefined; those levels are dropped from the fit, and a zero error after
+    any other error does not break monotonicity (a positive error after a
+    zero one does).
     """
     if len(levels) < 2:
         raise ValueError("need at least 2 (h, error) pairs to fit a slope")
     errs = [e for _, e in levels]
-    monotone = all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+    monotone = all(e2 < e1 or e2 == 0.0 for e1, e2 in zip(errs, errs[1:]))
     pts = [(h, e) for h, e in levels if e > 0.0]
     if len(pts) < 2:
         return float("nan"), monotone
@@ -131,10 +137,13 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
 
     The template's epsilon is used as-is; order studies are meant to run in
     the resolved regime (epsilon = 1.0 in the shipped configuration) where the
-    integrator's design order is visible.  Levels must be >= 3.
+    integrator's design order is visible.  Levels must be >= 3 and t_final
+    positive; both are checked before any solve runs.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels for an order study, got {levels}")
+    if not template.t_final > 0:
+        raise ValueError(f"t_final must be positive for an order study, got {template.t_final}")
     if not isinstance(tab, ImexTableau):
         tab = builtin_tableau(tab)
     report = check_order(tab)
@@ -172,14 +181,9 @@ def temporal_order_study(template: ControlProblem, tab, levels: int = 4,
     grad_levels = [(h, float(np.max(np.abs(_gradient(frozen_g, u0_g, h) - ref_g))))
                    for _, h in hs_g]
 
-    slope_f, mono_f = fit_order(fwd_levels)
-    slope_g, mono_g = fit_order(grad_levels)
     return OrderStudyResult(
-        tableau=tab.name, levels=fwd_levels, observed_order=slope_f,
-        target_order=report.forward_order, gradient_levels=grad_levels,
-        observed_gradient_order=slope_g,
-        adjoint_target_order=report.adjoint_system_order,
-        inconclusive=not (mono_f and mono_g))
+        tableau=tab.name, levels=fwd_levels, target_order=report.forward_order,
+        gradient_levels=grad_levels, adjoint_target_order=report.adjoint_system_order)
 
 
 def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:

@@ -69,10 +69,13 @@ def _nonzero(js, values):
 class ImexTableau:
     """Explicit/implicit Butcher pair sharing one stage count.
 
-    a_tilde is strictly lower triangular (explicit), a_impl lower triangular
-    with diagonal allowed (diagonally implicit).  The abscissae c_tilde and c
-    are the row sums of the respective matrices.  `plan`, `xi_plan` and
-    `adjoint_coeffs` are derived from the entries when the pair is built.
+    ImexTableau(name, a_tilde, a_impl, w_tilde, w) converts the coefficients
+    to float arrays.  a_tilde is strictly lower triangular (explicit), a_impl
+    lower triangular with diagonal allowed (diagonally implicit).  The other
+    fields are derived from the entries when the pair is built and are not
+    constructor arguments: the stage count `s` = len(w_tilde), the abscissae
+    `c_tilde` and `c`, the row sums of the respective matrices, and `plan`,
+    `xi_plan` and `adjoint_coeffs`.
     `plan` is the step plan imex_step iterates, so a step never indexes or
     compares the coefficient arrays.  `xi_plan` is the adjoint step plan (see
     _adjoint_plan) of the xi form, defined for any weights: the xi recursion
@@ -84,36 +87,35 @@ class ImexTableau:
     """
 
     name: str
-    s: int
     a_tilde: np.ndarray
     a_impl: np.ndarray
     w_tilde: np.ndarray
     w: np.ndarray
-    c_tilde: np.ndarray
-    c: np.ndarray
+    s: int = field(init=False)
+    c_tilde: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
     plan: StepPlan = field(init=False, repr=False, compare=False)
     xi_plan: tuple = field(init=False, repr=False, compare=False)
     adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.s
-        for label, arr, shape in (("a_tilde", self.a_tilde, (s, s)),
-                                  ("a_impl", self.a_impl, (s, s)),
-                                  ("w_tilde", self.w_tilde, (s,)),
-                                  ("w", self.w, (s,)),
-                                  ("c_tilde", self.c_tilde, (s,)),
-                                  ("c", self.c, (s,))):
+        s = len(self.w_tilde)
+        for label, shape in (("a_tilde", (s, s)), ("a_impl", (s, s)),
+                             ("w_tilde", (s,)), ("w", (s,))):
+            arr = np.asarray(getattr(self, label), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{label} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{label} has non-finite entries")
-        if np.any(np.triu(self.a_tilde) != 0.0):
-            raise ValueError("a_tilde must be strictly lower triangular")
-        if np.any(np.triu(self.a_impl, 1) != 0.0):
-            raise ValueError("a_impl must be lower triangular")
-        if np.any(self.a_tilde.sum(axis=1) != self.c_tilde) or np.any(self.a_impl.sum(axis=1) != self.c):
-            raise ValueError("abscissae must equal the matrix row sums exactly")
+            object.__setattr__(self, label, arr)
         at, ai = self.a_tilde, self.a_impl
+        if np.any(np.triu(at) != 0.0):
+            raise ValueError("a_tilde must be strictly lower triangular")
+        if np.any(np.triu(ai, 1) != 0.0):
+            raise ValueError("a_impl must be lower triangular")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c_tilde", at.sum(axis=1))
+        object.__setattr__(self, "c", ai.sum(axis=1))
         plan = StepPlan(
             stages=tuple((_pairs(range(i), at[i], ai[i]), float(ai[i, i])) for i in range(s)),
             weights=_pairs(range(s), self.w_tilde, self.w))
@@ -127,18 +129,6 @@ class ImexTableau:
         object.__setattr__(self, "adjoint_coeffs", coeffs)
 
 
-def make_imex_tableau(name, a_tilde, a_impl, w_tilde, w) -> ImexTableau:
-    """Assemble an ImexTableau from raw coefficients, deriving the abscissae."""
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    a_impl = np.asarray(a_impl, dtype=float)
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    w = np.asarray(w, dtype=float)
-    s = len(w_tilde)
-    return ImexTableau(name=name, s=s, a_tilde=a_tilde, a_impl=a_impl,
-                       w_tilde=w_tilde, w=w,
-                       c_tilde=a_tilde.sum(axis=1), c=a_impl.sum(axis=1))
-
-
 @dataclass(frozen=True)
 class AdjointCoeffs:
     """Coefficient matrices of the adjoint time stepper derived from a tableau pair.
@@ -148,8 +138,9 @@ class AdjointCoeffs:
     beta_tilde[i,j]  = w_tilde[j] - (w_tilde[j]/w[i])       * a_impl[j,i]
     beta[i,j]        = w[j]       - (w[j]/w[i])             * a_impl[j,i]
 
-    gamma/gamma_tilde are the row sums of alpha/alpha_tilde; they enter the
-    third-order branch conditions.
+    gamma/gamma_tilde are the row sums of alpha/alpha_tilde, derived in
+    __post_init__ and not constructor arguments; they enter the third-order
+    branch conditions.
 
     `plan` is the ark form's adjoint step plan (see _adjoint_plan), derived
     from the matrices.  Its coupled coefficients are w_tilde[j] -
@@ -164,11 +155,13 @@ class AdjointCoeffs:
     alpha: np.ndarray
     beta_tilde: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
-    gamma_tilde: np.ndarray
+    gamma: np.ndarray = field(init=False)
+    gamma_tilde: np.ndarray = field(init=False)
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", self.alpha.sum(axis=1))
+        object.__setattr__(self, "gamma_tilde", self.alpha_tilde.sum(axis=1))
         wt, w = np.diag(self.alpha_tilde), np.diag(self.alpha)
         ones = np.ones(len(wt))
         object.__setattr__(self, "plan", _adjoint_plan(
@@ -210,8 +203,7 @@ def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:
     beta_tilde = wt[None, :] - (wt[None, :] / w[:, None]) * ai_t
     beta = w[None, :] - (w[None, :] / w[:, None]) * ai_t
     return AdjointCoeffs(alpha_tilde=alpha_tilde, alpha=alpha,
-                         beta_tilde=beta_tilde, beta=beta,
-                         gamma=alpha.sum(axis=1), gamma_tilde=alpha_tilde.sum(axis=1))
+                         beta_tilde=beta_tilde, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -335,13 +327,13 @@ _G222 = 1.0 - 1.0 / _SQRT2
 
 def _build_imex_euler() -> ImexTableau:
     # Explicit Euler for transport, implicit Euler for the source.
-    return make_imex_tableau("imex-euler", [[0.0]], [[1.0]], [1.0], [1.0])
+    return ImexTableau("imex-euler", [[0.0]], [[1.0]], [1.0], [1.0])
 
 
 def _build_ars_222() -> ImexTableau:
     # Two-stage second-order pair with all weights nonzero, so the adjoint
     # coefficient matrices exist (gamma = 1 - 1/sqrt(2) on the implicit diagonal).
-    return make_imex_tableau(
+    return ImexTableau(
         "ars-222",
         [[0.0, 0.0], [1.0, 0.0]],
         [[_G222, 0.0], [1.0 - 2.0 * _G222, _G222]],
@@ -362,9 +354,9 @@ def _build_ars_443() -> ImexTableau:
               [0, 1 / 6, 1 / 2, 0, 0],
               [0, -1 / 2, 1 / 2, 1 / 2, 0],
               [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]]
-    return make_imex_tableau("ars-443", a_tilde, a_impl,
-                             [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0],
-                             [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2])
+    return ImexTableau("ars-443", a_tilde, a_impl,
+                       [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0],
+                       [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2])
 
 
 def _build_bpr_343() -> ImexTableau:
@@ -373,7 +365,7 @@ def _build_bpr_343() -> ImexTableau:
     a_tilde = [[0, 0, 0], [1 / 2, 0, 0], [-1.0, 2.0, 0]]
     a_impl = [[0, 0, 0], [1 / 4, 1 / 4, 0], [1 / 4, 1 / 2, 1 / 4]]
     wts = [1 / 6, 2 / 3, 1 / 6]
-    return make_imex_tableau("bpr-343", a_tilde, a_impl, wts, list(wts))
+    return ImexTableau("bpr-343", a_tilde, a_impl, wts, list(wts))
 
 
 _REGISTRY = {
@@ -466,6 +458,6 @@ def load_tableau_file(path: str, name: Optional[str] = None) -> ImexTableau:
         import os
         name = os.path.splitext(os.path.basename(path))[0]
     try:
-        return make_imex_tableau(name, a_tilde, a_impl, w_tilde, w)
+        return ImexTableau(name, a_tilde, a_impl, w_tilde, w)
     except ValueError as exc:
         raise TableauParseError(path, rows[0][0], str(exc)) from None

@@ -37,8 +37,7 @@ from relaxopt.adjoint import (AdjointSweepRecord, CostateState, Stage, adjoint_s
 from relaxopt.core import FluxModel, RelaxState
 from relaxopt.forward import DivergenceError, imex_step
 from relaxopt.spatial import SpatialOp, apply_dx, apply_dx_transpose
-from relaxopt.tableau import (AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs,
-                              make_imex_tableau)
+from relaxopt.tableau import AdjointCoeffs, ImexTableau, ZeroWeightError, adjoint_coeffs
 
 
 def _minmod(x, y):
@@ -380,7 +379,7 @@ def random_pair(rng, zero_weights=True):
         a_impl *= rng.random((s, s)) > 0.25
         w_tilde = rng.uniform(0.1, 1.0, s)
         w = rng.uniform(0.1, 1.0, s)
-    return make_imex_tableau(f"random-{s}", a_tilde, a_impl, w_tilde, w)
+    return ImexTableau(f"random-{s}", a_tilde, a_impl, w_tilde, w)
 
 
 def assert_steps_match_reference(tab, op, model, eps, y, h, p_next):

@@ -9,7 +9,7 @@ import numpy as np
 
 from relaxopt.core import (RelaxConfig, RelaxState, burgers_model, make_grid,
                            relax_init, subchar_speed)
-from relaxopt.tableau import builtin_tableau, check_order, make_imex_tableau
+from relaxopt.tableau import ImexTableau, builtin_tableau, check_order
 from relaxopt.spatial import SpatialOp, apply_dx_linearized, apply_dx_transpose
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.adjoint import solve_adjoint, assemble_gradient
@@ -201,7 +201,7 @@ def test_acceptance_5_order_condition_checker():
             v for k, v in rep.condition_residuals.items()
             if any(k.startswith(f"order{j}") for j in range(1, nominal + 1)))
     gamma = 1.0 - 1.0 / np.sqrt(2.0)
-    perturbed = make_imex_tableau(
+    perturbed = ImexTableau(
         "perturbed", [[0.0, 0.0], [1.0, 0.0]],
         [[gamma, 0.0], [1.0 - 2.0 * gamma, gamma + 1e-3]],
         [0.5, 0.5], [0.5, 0.5])

@@ -13,7 +13,7 @@ from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
                                steepest_descent, _frozen_speed_problem)
 from relaxopt import adjoint as adjoint_module, tableau as tableau_module
 from relaxopt.spatial import SpatialOp
-from relaxopt.tableau import adjoint_coeffs, builtin_tableau, make_imex_tableau
+from relaxopt.tableau import ImexTableau, adjoint_coeffs, builtin_tableau
 
 from oracles import zeta_gradient
 
@@ -211,10 +211,10 @@ def test_sweep_record_keeps_costates_only(form, scheme):
 def test_zero_weight_tableau_falls_back_to_xi():
     # a consistent pair whose second explicit weight is zero: the ark
     # multipliers are undefined there, so the sweep must switch forms
-    tab = make_imex_tableau("zero-weight",
-                           [[0.0, 0.0], [1.0, 0.0]],
-                           [[0.5, 0.0], [0.0, 0.5]],
-                           [1.0, 0.0], [0.5, 0.5])
+    tab = ImexTableau("zero-weight",
+                      [[0.0, 0.0], [1.0, 0.0]],
+                      [[0.5, 0.0], [0.0, 0.5]],
+                      [1.0, 0.0], [0.5, 0.5])
     prob, u0 = _tracking_setup(n=24, tableau="imex-euler")
     traj = solve_forward(prob, tab, u0)
     rec = solve_adjoint(traj, prob.u_d, form="ark")

@@ -140,6 +140,15 @@ def test_order_study_subcommand(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 4
 
 
+def test_order_study_zero_horizon_is_a_named_error(tmp_path, capsys):
+    rc = main(["order-study", "--t-final", "0", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_final" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "order_study.csv").exists()
+
+
 def test_tracking_table_subcommand(tmp_path, capsys):
     rc = main(["tracking-table", "--grid-sizes", "100",
                "--output-dir", str(tmp_path)])

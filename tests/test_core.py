@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,25 @@ def test_make_grid_rejects_bad_input():
     for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             make_grid(lo, hi, 8)
+    for bad in (2.7, 8.5, np.float64(3.2)):
+        with pytest.raises(ValueError, match="n_cells"):
+            make_grid(0.0, 1.0, bad)
+    for good in (8, 8.0, np.int64(8)):
+        grid = make_grid(0.0, 1.0, good)
+        assert grid.n_cells == 8 and type(grid.n_cells) is int and len(grid.centers) == 8
+
+
+def test_grid_derives_spacing_and_centers_from_its_inputs():
+    grid = make_grid(0.0, 2.0 * np.pi, 32)
+    refined = dataclasses.replace(grid, n_cells=64)
+    want = make_grid(0.0, 2.0 * np.pi, 64)
+    assert refined == want
+    assert refined.dx == want.dx == 2.0 * np.pi / 64
+    assert np.array_equal(refined.centers, want.centers)
+    assert np.array_equal(want.centers, (np.arange(64) + 0.5) * want.dx)
+    for derived in ("dx", "centers"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, **{derived: getattr(grid, derived)})
 
 
 def test_burgers_flux_values():

@@ -27,18 +27,17 @@ class _Boom:
 
 
 def _trace(path):
-    export_trace(OptimizerReport(iterations=2, final_cost=0.5, cost_history=[1.0, _Boom(), 0.5],
-                                 converged=False, wall_time=0.0,
+    export_trace(OptimizerReport(cost_history=[1.0, _Boom(), 0.5], converged=False, wall_time=0.0,
                                  grad_norm_history=[2.0, 1.0], iter_wall_times=[0.1, 0.2]),
                  path, header="h")
 
 
 def _order_study(path):
     levels = [(0.4, 1e-2), (0.2, 2.5e-3), (0.1, 6e-4)]
-    res = OrderStudyResult(tableau="ars-222", levels=levels, observed_order=2.0,
-                           target_order=2, gradient_levels=[(0.4, 1e-2), (0.2, _Boom()), (0.1, 6e-4)],
-                           observed_gradient_order=2.0, adjoint_target_order=2,
-                           inconclusive=False)
+    res = OrderStudyResult(tableau="ars-222", levels=levels, target_order=2,
+                           gradient_levels=list(levels), adjoint_target_order=2)
+    # after construction, which fits slopes to the levels
+    res.gradient_levels[1] = (0.2, _Boom())
     export_order_study([res], path, header="h")
 
 

@@ -39,8 +39,15 @@ def test_fit_order_flags_non_monotone_and_drops_zeros():
 
     # a zero error level is dropped from the fit, not treated as -inf
     with_zero = [(0.1, 1e-2), (0.05, 0.0), (0.025, 2.5e-3)]
-    slope, _ = fit_order(with_zero)
+    slope, monotone = fit_order(with_zero)
     assert abs(slope - 1.0) <= 1e-12
+    # a positive error after a zero one breaks monotonicity
+    assert not monotone
+
+    # zero errors after a positive or a zero error keep it
+    slope, monotone = fit_order([(0.1, 1e-2), (0.05, 0.0), (0.025, 0.0)])
+    assert np.isnan(slope)
+    assert monotone
 
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-2)])
@@ -49,16 +56,36 @@ def test_fit_order_flags_non_monotone_and_drops_zeros():
 def test_order_study_result_validates_shape():
     good = [(0.1, 1e-2), (0.05, 2e-3), (0.025, 4e-4)]
     with pytest.raises(ValueError):
-        OrderStudyResult(tableau="t", levels=good[:2], observed_order=1.0,
-                         target_order=1, gradient_levels=good,
-                         observed_gradient_order=1.0, adjoint_target_order=1,
-                         inconclusive=False)
+        OrderStudyResult(tableau="t", levels=good[:2], target_order=1,
+                         gradient_levels=good, adjoint_target_order=1)
     shuffled = [good[1], good[0], good[2]]
     with pytest.raises(ValueError):
-        OrderStudyResult(tableau="t", levels=shuffled, observed_order=1.0,
-                         target_order=1, gradient_levels=good,
-                         observed_gradient_order=1.0, adjoint_target_order=1,
-                         inconclusive=False)
+        OrderStudyResult(tableau="t", levels=shuffled, target_order=1,
+                         gradient_levels=good, adjoint_target_order=1)
+
+
+def test_order_study_result_fits_its_own_levels():
+    good = [(0.1, 1e-2), (0.05, 2.5e-3), (0.025, 6.25e-4)]
+    bumpy = [(0.1, 1e-2), (0.05, 2e-2), (0.025, 1e-3)]
+    res = OrderStudyResult(tableau="t", levels=good, target_order=2,
+                           gradient_levels=bumpy, adjoint_target_order=2)
+    assert res.observed_order == fit_order(good)[0]
+    assert res.observed_gradient_order == fit_order(bumpy)[0]
+    assert res.inconclusive
+    assert not OrderStudyResult(tableau="t", levels=good, target_order=2,
+                                gradient_levels=good, adjoint_target_order=2).inconclusive
+    for derived in ("observed_order", "observed_gradient_order", "inconclusive"):
+        with pytest.raises(TypeError):
+            OrderStudyResult(tableau="t", levels=good, target_order=2, gradient_levels=good,
+                             adjoint_target_order=2, **{derived: 1.0})
+
+
+def test_order_study_rejects_a_zero_horizon_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_forward ran")
+    monkeypatch.setattr("relaxopt.studies.solve_forward", no_solve)
+    with pytest.raises(ValueError, match="t_final"):
+        temporal_order_study(_template(t_final=0.0), "imex-euler")
 
 
 def test_temporal_order_study_first_order_tableau():

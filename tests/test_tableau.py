@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relaxopt.tableau import (ORDER_TOL, TableauParseError, ZeroWeightError,
+from relaxopt.tableau import (ORDER_TOL, ImexTableau, TableauParseError, ZeroWeightError,
                               adjoint_coeffs, builtin_names, builtin_tableau,
-                              check_order, load_tableau_file, make_imex_tableau,
-                              order_condition_residuals)
+                              check_order, load_tableau_file, order_condition_residuals)
 
 from oracles import random_pair
 
@@ -46,8 +45,8 @@ def test_adjoint_coeffs_formula_against_loop_oracle():
 
 
 def test_zero_weight_raises_with_index():
-    tab = make_imex_tableau("zw", [[0, 0], [1, 0]], [[0.5, 0], [0, 0.5]],
-                            [1.0, 0.0], [0.5, 0.5])
+    tab = ImexTableau("zw", [[0, 0], [1, 0]], [[0.5, 0], [0, 0.5]],
+                      [1.0, 0.0], [0.5, 0.5])
     with pytest.raises(ZeroWeightError) as exc:
         adjoint_coeffs(tab)
     assert exc.value.which == "w_tilde"
@@ -96,7 +95,7 @@ def test_check_order_bpr_343_passes_gamma_branch():
 def test_third_order_tableau_failing_all_branches_reports_two():
     # third-order pair built on a different explicit method; all weights
     # nonzero but neither extra branch holds
-    tab = make_imex_tableau(
+    tab = ImexTableau(
         "contrast3",
         [[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]],
         [[0, 0, 0], [0.25, 0.25, 0], [5 / 16, 3 / 16, 0.25]],
@@ -138,8 +137,8 @@ def test_perturbed_tableau_rejected_at_nominal_order():
     base = builtin_tableau("ars-222")
     a_impl = base.a_impl.copy()
     a_impl[1, 0] += 1e-3
-    perturbed = make_imex_tableau("ars-222-perturbed", base.a_tilde, a_impl,
-                                  base.w_tilde, base.w)
+    perturbed = ImexTableau("ars-222-perturbed", base.a_tilde, a_impl,
+                            base.w_tilde, base.w)
     rep = check_order(perturbed)
     assert rep.forward_order < 2
 
@@ -155,11 +154,11 @@ def test_unknown_name_lists_registry():
 def test_tableau_structure_validation():
     with pytest.raises(ValueError):
         # explicit matrix with a diagonal entry
-        make_imex_tableau("bad", [[0.5]], [[1.0]], [1.0], [1.0])
+        ImexTableau("bad", [[0.5]], [[1.0]], [1.0], [1.0])
     with pytest.raises(ValueError):
         # implicit matrix with an upper entry
-        make_imex_tableau("bad", [[0, 0], [1, 0]], [[0, 1], [0, 0.5]],
-                          [0.5, 0.5], [0.5, 0.5])
+        ImexTableau("bad", [[0, 0], [1, 0]], [[0, 1], [0, 0.5]],
+                    [0.5, 0.5], [0.5, 0.5])
 
 
 def test_load_tableau_file_round_trip(tmp_path):
@@ -248,8 +247,8 @@ def test_step_plan_holds_the_nonzero_entries_in_stage_order():
 
 
 def test_step_plan_skips_negative_zero_entries():
-    tab = make_imex_tableau("signed-zero", [[0.0, 0.0], [-0.0, 0.0]],
-                            [[0.5, 0.0], [-0.0, 0.5]], [-0.0, 1.0], [0.5, 0.5])
+    tab = ImexTableau("signed-zero", [[0.0, 0.0], [-0.0, 0.0]],
+                      [[0.5, 0.0], [-0.0, 0.5]], [-0.0, 1.0], [0.5, 0.5])
     assert tab.plan.stages[1] == ((), 0.5)
     assert tab.plan.weights == ((0, -0.0, 0.5), (1, 1.0, 0.5))
 
@@ -316,9 +315,17 @@ def test_plans_stay_out_of_repr_and_follow_replace():
     assert renamed.xi_plan == tab.xi_plan
     assert [row[:3] for row in reweighted.xi_plan[:2]] == [(1, 0.5, 0.75), (0, 0.5, 0.25)]
     assert [row[3:] for row in reweighted.xi_plan] == [row[3:] for row in tab.xi_plan]
-    for derived in ("plan", "xi_plan"):
+    for derived in ("plan", "xi_plan", "s", "c_tilde", "c"):
         with pytest.raises(ValueError):
             dataclasses.replace(tab, **{derived: getattr(tab, derived)})
+    a_impl = np.array([[0.25, 0.0], [0.5, 0.25]])
+    reimplicit = dataclasses.replace(tab, a_impl=a_impl)
+    assert np.array_equal(reimplicit.c, np.array([0.25, 0.75]))
+    assert np.array_equal(reimplicit.c_tilde, tab.c_tilde)
+    assert reimplicit.plan == ImexTableau("want", tab.a_tilde, a_impl, tab.w_tilde, tab.w).plan
+    assert reimplicit.plan.stages == (((), 0.25), (((0, 1.0, 0.5),), 0.25))
+    assert reimplicit.xi_plan != tab.xi_plan
+    assert reimplicit.adjoint_coeffs.plan != tab.adjoint_coeffs.plan
 
 
 def test_pair_keeps_its_adjoint_coeffs():
