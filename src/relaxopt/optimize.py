@@ -24,13 +24,14 @@ from .tableau import ImexTableau, builtin_tableau
 DEFAULT_ALPHA = 0.097
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
     """Everything a reduced-cost evaluation needs besides the control itself.
 
     `tableau` may be a registry name or an ImexTableau instance.  t_final = 0
     is allowed as a degenerate edge (the forward solve is then the identity),
     which keeps the finite-difference oracle testable without time stepping.
+    A problem compares and hashes by identity, since u_d is an array.
     """
 
     grid: Grid

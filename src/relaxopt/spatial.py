@@ -25,15 +25,16 @@ neighbour is read is written into a buffer one cell longer than the grid,
 and one copy fills the extra (ghost) cell with the value the wraparound
 brings there: buf[0] = buf[N] when x[i-1] is read, buf[N] = buf[0] when
 x[i+1] is read.  Then x[i] and its neighbour are two views of one array.
-Under muscl2 the two characteristic families are the rows of one such
-(2, N+1) buffer (`_char_diffs`), and their back differences
-d[i] = w[i] - w[i-1] the rows of another, so one pass over d decides
-minmod's branches for the pairs (d[i], d[i+1]) of both families
-(`_branches`).  The limited slopes of apply_dx, the frozen branch masks of
-the linearization and the transpose (`_limiter_masks`) and the public
-`minmod` all come from that one rule.  `_next_sub` writes a difference
-x - y into a ghost-cell buffer and returns its shifted view x[i+1] - y[i+1],
-and `_divergence` differences the face values inside their own ghost-cell
+Under muscl2 the two characteristic families are the rows of one flat
+buffer (`_char_diffs`, laid out in `_LimitedWork`), and their back
+differences d[i] = w[i] - w[i-1] the rows of another, so one pass over d
+decides minmod's branches for the pairs (d[i], d[i+1]) of both families
+(`_branches`), and `_select` writes the slopes those branches pick.  The
+limited slopes of apply_dx, the frozen slopes of the linearization and of
+the transpose, and the public `minmod` all come from that one rule.  The
+linearization adds 0.0 to its frozen slopes, which turns a selected -0.0
+into +0.0 as the sum of two masked terms in the `roll` formulas does.
+`_divergence` differences the face values inside their own ghost-cell
 buffers.  apply_dx under upwind1 and apply_dx_transpose, which every time
 step calls, write their shape check, upwind faces and differences inline
 instead of through helper frames; the transpose's inputs arrive unpadded,
@@ -50,17 +51,20 @@ leaves the module: the arrays the operators return own their data, and
 (core._pair).
 
 The work buffers belong to the operator.  SpatialOp.work, made once with the
-op, holds a*u, the upwind faces and _divergence's face fields with their
-ghost cells, _char_diffs' families and differences, the transpose's
-differences and face cotangents, the shifted views of each (made once), and
-one scratch array of length N in which imex_step and the adjoint step form
-each product term of their sums.  The stencils write their intermediates
-there with out=, so under upwind1 neither apply_dx nor apply_dx_transpose
-allocates or slices a buffer of its own.  The arrays they return are still
-freshly allocated and own their data, so no later call overwrites an
-earlier result.  Every call on an op writes the same buffers, so an op must
-not be shared between threads: solve_forward makes a fresh op for every
-solve, and dataclasses.replace makes one with buffers of its own.
+op, holds a*u, the faces and _divergence's face fields with their ghost
+cells, the transpose's differences and w-cotangents, the shifted views of
+each (made once), and one scratch array of length N in which imex_step and
+the adjoint step form each product term of their sums.  A muscl2 op's work
+(_LimitedWork) also holds the families, the limiter's differences,
+magnitudes, products, branch masks and slopes, and the transpose's two
+ghost-cell buffers.  The stencils write their intermediates there with
+out=, so under either scheme apply_dx, apply_dx_linearized and
+apply_dx_transpose allocate nothing but the two arrays they return, and
+slice no buffer of their own.  Those arrays own their data, so no later
+call overwrites an earlier result.  Every call on an op writes the same
+buffers, so an op must not be shared between threads: solve_forward makes a
+fresh op for every solve, and dataclasses.replace makes one with buffers of
+its own.
 """
 from __future__ import annotations
 
@@ -72,45 +76,107 @@ from .core import Grid, RelaxState, _pair
 
 SCHEMES = ("upwind1", "muscl2")
 
+# The limiter's constants as read-only 0-d arrays: numpy converts a Python
+# float operand on every call, which costs more than the work on N = 50 cells
+_ZERO = np.zeros(())
+_HALF = np.full((), 0.5)
+_ZERO.flags.writeable = _HALF.flags.writeable = False
+
+
+class _Limiter:
+    """minmod's buffers for the pairs (x, y) = (d[..., i], d[..., i+1]) along d's last axis.
+
+    d holds the differences and ad their magnitudes, x, y, ax and ay are
+    their pair views, and prod, the branch masks zero and left (_branches)
+    and the slopes s hold one element per pair.
+    """
+
+    __slots__ = ("d", "x", "y", "ad", "ax", "ay", "prod", "zero", "left", "s")
+
+    def __init__(self, shape):
+        pairs = shape[:-1] + (shape[-1] - 1,)
+        self.d = np.empty(shape)
+        self.x, self.y = self.d[..., :-1], self.d[..., 1:]
+        self.ad = np.empty(shape)
+        self.ax, self.ay = self.ad[..., :-1], self.ad[..., 1:]
+        self.prod = np.empty(pairs)
+        self.zero = np.empty(pairs, dtype=bool)
+        self.left = np.empty(pairs, dtype=bool)
+        self.s = np.empty(pairs)
+
 
 class _Work:
     """An operator's work buffers: the stencil intermediates and the step scratch.
 
-    Each buffer of length N+1 has one ghost cell; its shifted views are made
-    here once, so a stencil call slices none of them.
+    Each buffer with a ghost cell has its shifted views made here once, so a
+    stencil call slices none of them.  wbar holds the transpose's
+    w-cotangents as two rows of m = N+2 (see _LimitedWork): wp_bar in
+    wbar[:N], wm_bar in wbar[m:m+N], whose ghost wbar[m] repeats wbar[m+N].
     """
 
     __slots__ = ("au", "fp", "fm_buf", "fm_cells", "fm", "u_face", "uf", "uf_prev",
-                 "v_face", "vf", "vf_prev", "w", "d", "half", "half_head", "t", "t_head",
-                 "wp", "wm_buf", "wm_next", "wm", "tmp")
+                 "v_face", "vf", "vf_prev", "half", "half_head", "t", "t_head",
+                 "wbar", "wp_bar", "wm_bar", "wm_bar_next", "tmp")
 
     def __init__(self, n: int):
+        m = n + 2
         self.au = np.empty(n)                  # a*u
-        self.fp = np.empty(n)                  # upwind w+ faces
-        self.fm_buf = np.empty(n + 1)          # upwind w- faces fm = fm_buf[1:], ghost fm_buf[n]
+        self.fp = np.empty(n)                  # w+ faces
+        self.fm_buf = np.empty(n + 1)          # w- faces fm = fm_buf[1:], ghost fm_buf[n]
         self.fm_cells, self.fm = self.fm_buf[:n], self.fm_buf[1:]
         self.u_face = np.empty(n + 1)          # _divergence's faces uf = u_face[1:], ghost [0]
         self.uf, self.uf_prev = self.u_face[1:], self.u_face[:n]
         self.v_face = np.empty(n + 1)
         self.vf, self.vf_prev = self.v_face[1:], self.v_face[:n]
-        self.w = np.empty((2, n + 1))          # _char_diffs
-        self.d = np.empty((2, n + 1))
         self.half = np.empty(n)                # apply_dx_transpose's differences
         self.half_head = self.half[:-1]
         self.t = np.empty(n)
         self.t_head = self.t[:-1]
-        self.wp = np.empty(n)                  # fp_bar
-        self.wm_buf = np.empty(n + 1)          # fm_bar = wm_buf[:n], ghost wm_buf[0]
-        self.wm_next, self.wm = self.wm_buf[1:], self.wm_buf[:n]
+        self.wbar = np.full(2 * m, np.nan)     # fp_bar, then wp_bar; fm_bar[i-1], then wm_bar
+        self.wp_bar, self.wm_bar = self.wbar[:n], self.wbar[m:m + n]
+        self.wm_bar_next = self.wbar[m + 1:m + 1 + n]
         self.tmp = np.empty(n)                 # one product term of a step's sums
+
+
+class _LimitedWork(_Work):
+    """muscl2's work buffers: _Work's, plus the families, the limiter and the slope transpose.
+
+    The two characteristic families are the rows of one flat buffer, each row
+    m = N+2 long: a ghost cell, the N cells and a NaN pad.  The differences,
+    the limiter's pairs and the transpose's buffers keep that layout, so one
+    contiguous 1-D call does the work of a call over (2, N) rows, which costs
+    numpy about twice as much at these sizes.  Pair k < N belongs to the w+
+    row and pair m + k to the w- row; every element between them reads a
+    NaN pad, so it raises no floating-point warning, and no result reads it.
+    """
+
+    __slots__ = ("w", "wp", "wm", "w_next", "w_prev", "lim", "d_head", "sp", "sm", "sbar",
+                 "right", "right_cells", "right_prev", "dbar", "dbar_cells", "dbar_next")
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        m = n + 2
+        self.w = np.full(2 * m, np.nan)        # _char_diffs: w+ in w[1:1+N], w- in w[m+1:m+1+N]
+        self.wp, self.wm = self.w[1:1 + n], self.w[m + 1:m + 1 + n]
+        self.w_next, self.w_prev = self.w[1:], self.w[:-1]
+        self.lim = _Limiter((2 * m,))          # d[i] = w[i] - w[i-1] in d[:N] and d[m:m+N]
+        self.lim.d.fill(np.nan)
+        self.d_head = self.lim.d[:-1]
+        self.sp, self.sm = self.lim.s[:n], self.lim.s[m:m + n]
+        self.sbar = self.wbar[:-1]             # (wp_bar, wm_bar) as the limiter's pairs
+        self.right = np.full(2 * m, np.nan)    # took_y*sbar one cell right, ghost right[0]
+        self.right_cells, self.right_prev = self.right[1:], self.right[:-1]
+        self.dbar = np.full(2 * m, np.nan)     # d-cotangents, ghost dbar[N]
+        self.dbar_cells, self.dbar_next = self.dbar[:-1], self.dbar[1:]
 
 
 @dataclass(frozen=True)
 class SpatialOp:
     """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod).
 
-    `work` holds the operator's work buffers (_Work), made with it; an op
-    must not be shared between threads (see the module docstring).
+    `work` holds the operator's work buffers (_Work, or _LimitedWork under
+    muscl2), made with it; an op must not be shared between threads (see the
+    module docstring).
     """
 
     grid: Grid
@@ -123,7 +189,8 @@ class SpatialOp:
             raise ValueError(f"unknown scheme '{self.scheme}'; available: {', '.join(SCHEMES)}")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
-        object.__setattr__(self, "work", _Work(self.grid.n_cells))
+        work = _Work if self.linear else _LimitedWork
+        object.__setattr__(self, "work", work(self.grid.n_cells))
 
     @property
     def linear(self) -> bool:
@@ -135,34 +202,25 @@ class SpatialOp:
         return self.scheme == "upwind1"
 
 
-def _next_sub(x, y):
-    """x[i+1] - y[i+1] with periodic wraparound (x - y rolled by -1).
+def _branches(lim: _Limiter):
+    """minmod's branches for the pairs (x, y) in lim.d, written into lim.zero and lim.left.
 
-    A view buf[1:] of a buffer whose ghost cell buf[N] repeats buf[0].
+    zero marks x*y <= 0: opposite signs, a zero argument or a product that
+    underflows to 0, where the limited slope is 0.  left marks |x| <= |y|,
+    where x is taken unless zero holds, so a tie takes x.  A NaN fails both
+    tests, so minmod(nan, y) is y.
     """
-    n = x.size
-    buf = np.empty(n + 1)
-    np.subtract(x, y, out=buf[:n])
-    buf[n] = buf[0]
-    return buf[1:]
+    np.abs(lim.d, out=lim.ad)
+    np.multiply(lim.x, lim.y, out=lim.prod)
+    np.less_equal(lim.prod, _ZERO, out=lim.zero)
+    np.less_equal(lim.ax, lim.ay, out=lim.left)
 
 
-def _branches(d):
-    """minmod's branches for the pairs (x, y) = (d[..., i], d[..., i+1]) along the last axis.
-
-    Returns (zero, left).  zero marks x*y <= 0: opposite signs, a zero
-    argument or a product that underflows to 0, where the limited slope is
-    0.  left marks |x| <= |y|, where x is taken unless zero holds, so a tie
-    takes x.  A NaN fails both tests, so minmod(nan, y) is y.
-    """
-    ad = np.abs(d)
-    return d[..., :-1] * d[..., 1:] <= 0.0, ad[..., :-1] <= ad[..., 1:]
-
-
-def _limited_slopes(d):
-    """minmod(d[..., i], d[..., i+1]) along the last axis."""
-    zero, left = _branches(d)
-    return np.where(zero, 0.0, np.where(left, d[..., :-1], d[..., 1:]))
+def _select(out, x, y, lim: _Limiter):
+    """Write where(zero, 0.0, where(left, x, y)) into out, with the branches in lim."""
+    np.copyto(out, y)
+    np.putmask(out, lim.left, x)
+    np.putmask(out, lim.zero, _ZERO)
 
 
 def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,28 +229,34 @@ def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Sign ties (x*y <= 0, including zeros) resolve to the zero slope, and a
     magnitude tie to x (see _branches).
     """
-    pair = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)), axis=-1)
-    return _limited_slopes(pair)[..., 0]
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    lim = _Limiter(np.broadcast_shapes(x.shape, y.shape) + (2,))
+    lim.d[..., 0] = x
+    lim.d[..., 1] = y
+    _branches(lim)
+    _select(lim.s, lim.x, lim.y, lim)
+    return lim.s[..., 0]
 
 
 def _char_diffs(op: SpatialOp, u, v):
-    """Both characteristic families and their periodic back differences, in ghost-cell buffers.
+    """Both characteristic families and their periodic back differences, into op.work.
 
-    Returns (w, d), each of shape (2, N+1) with w+ = v + a*u in row 0 and
-    w- = v - a*u in row 1.  w[:, 1:] holds the cells and w[:, 0] the ghost
-    w[:, N-1]; d[:, :N] holds d[i] = w[i] - w[i-1] and d[:, N] the ghost
-    d[:, 0].  So d[:, :-1] and d[:, 1:] are the limiter's pairs (d[i], d[i+1]).
+    Row 0 of w (see _LimitedWork) holds w+ = v + a*u and row 1 w- = v - a*u,
+    each after a ghost cell that repeats the row's last cell.  lim.d holds
+    d[i] = w[i] - w[i-1] in the same rows, each followed by a ghost that
+    repeats d[0], so lim.x and lim.y are the limiter's pairs (d[i], d[i+1]).
     """
-    n = u.size
+    n, m = op.grid.n_cells, op.grid.n_cells + 2
     wk = op.work
-    au, w, d = wk.au, wk.w, wk.d
-    np.multiply(u, op.a, out=au)
-    np.add(v, au, out=w[0, 1:])
-    np.subtract(v, au, out=w[1, 1:])
-    w[:, 0] = w[:, n]
-    np.subtract(w[:, 1:], w[:, :-1], out=d[:, :n])
-    d[:, n] = d[:, 0]
-    return w, d
+    w, d = wk.w, wk.lim.d
+    np.multiply(u, op.a, out=wk.au)
+    np.add(v, wk.au, out=wk.wp)
+    np.subtract(v, wk.au, out=wk.wm)
+    w[0] = w[n]
+    w[m] = w[m + n]
+    np.subtract(wk.w_next, wk.w_prev, out=wk.d_head)
+    d[n] = d[0]
+    d[m + n] = d[m]
 
 
 def _check_state(op: SpatialOp, u, v):
@@ -201,25 +265,27 @@ def _check_state(op: SpatialOp, u, v):
         raise ValueError(f"state size {u.shape}/{v.shape} does not match grid ({n} cells)")
 
 
-def _limited_faces(op: SpatialOp, u, v):
-    """muscl2 interface values of both characteristic families at faces i+1/2."""
-    w, d = _char_diffs(op, u, v)
-    s = _limited_slopes(d)
-    s *= 0.5
-    # fp = wp + sp/2 and fm[i] = (wm - sm/2)[i+1]
-    return s[0] + w[0, 1:], _next_sub(w[1, 1:], s[1])
+def _limited_faces(wk: _LimitedWork):
+    """muscl2 faces at i+1/2 from the families in wk.w and the slopes in wk.lim.s.
+
+    fp = wp + sp/2 goes into wk.fp and fm[i] = (wm - sm/2)[i+1] into wk.fm.
+    """
+    wk.lim.s *= _HALF
+    np.add(wk.wp, wk.sp, out=wk.fp)
+    np.subtract(wk.wm, wk.sm, out=wk.fm_cells)
+    wk.fm_buf[-1] = wk.fm_buf[0]
 
 
-def _divergence(op: SpatialOp, fp, fm):
-    """Cell increments from the face values at i+1/2.
+def _divergence(op: SpatialOp):
+    """Cell increments from the face values at i+1/2 in op.work.fp and op.work.fm.
 
     Each face field is written into a buffer whose ghost cell 0 repeats the
     last face, N-1/2, which wraps around to face -1/2.
     """
     a, dx = op.a, op.grid.dx
     wk = op.work
-    n = fp.size
-    uf, vf = wk.uf, wk.vf
+    n = op.grid.n_cells
+    fp, fm, uf, vf = wk.fp, wk.fm, wk.uf, wk.vf
     np.subtract(fp, fm, out=uf)
     uf /= 2.0 * a
     wk.u_face[0] = wk.u_face[n]
@@ -231,7 +297,7 @@ def _divergence(op: SpatialOp, fp, fm):
     out_v = uf - wk.uf_prev
     out_v *= a * a
     out_v /= dx
-    return out_u, out_v
+    return _pair(out_u, out_v)
 
 
 def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
@@ -240,19 +306,21 @@ def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     n = op.grid.n_cells
     if u.shape != (n,) or v.shape != (n,):
         _check_state(op, u, v)   # raises
+    wk = op.work
     if op.linear:
         # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost fm_buf[n] = fm_buf[0]
-        wk = op.work
-        au, fp = wk.au, wk.fp
+        au = wk.au
         np.multiply(u, op.a, out=au)
-        np.add(v, au, out=fp)
+        np.add(v, au, out=wk.fp)
         np.subtract(v, au, out=wk.fm_cells)
         wk.fm_buf[n] = wk.fm_buf[0]
-        fm = wk.fm
     else:
-        fp, fm = _limited_faces(op, u, v)
-    out_u, out_v = _divergence(op, fp, fm)
-    return _pair(out_u, out_v)
+        lim = wk.lim
+        _char_diffs(op, u, v)
+        _branches(lim)
+        _select(lim.s, lim.x, lim.y, lim)
+        _limited_faces(wk)
+    return _divergence(op)
 
 
 def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> RelaxState:
@@ -266,42 +334,18 @@ def apply_dx_linearized(op: SpatialOp, base: RelaxState, delta: RelaxState) -> R
     if op.linear:
         return apply_dx(op, delta)
     _check_state(op, base.u, base.v)
-    took_x, took_y = _limiter_masks(op, base)
-    w, d = _char_diffs(op, delta.u, delta.v)
-    # frozen slopes sigma[i] = d[i] or d[i+1] as minmod chose at base, else 0
-    half = np.where(took_x, d[:, :-1], 0.0) + np.where(took_y, d[:, 1:], 0.0)
-    half *= 0.5
-    fp = w[0, 1:] + half[0]
-    fm = _next_sub(w[1, 1:], half[1])
-    out_u, out_v = _divergence(op, fp, fm)
-    return RelaxState(out_u, out_v)
-
-
-def _limiter_masks(op: SpatialOp, base):
-    """Where minmod took d[i] and where it took d[i+1] at `base`: (took_x, took_y).
-
-    Each mask has one row per family, as in _char_diffs.
-    """
-    _, d = _char_diffs(op, base.u, base.v)
-    zero, left = _branches(d)
-    nonzero = ~zero
-    return nonzero & left, nonzero & ~left
-
-
-def _slope_transpose(sbar, masks):
-    """Transpose of the frozen-limiter slope map sigma(w) back onto w-cotangents, families as rows.
-
-    Forward: d[i] = w[i] - w[i-1]; sigma[i] = took_x[i]*d[i] + took_y[i]*d[i+1].
-    """
-    took_x, took_y = masks
-    n = sbar.shape[1]
-    right = np.empty((2, n + 1))          # ghost column 0: right[:, :n] is rolled by +1
-    right[:, 1:] = np.where(took_y, sbar, 0.0)
-    right[:, 0] = right[:, n]
-    dbar = np.empty((2, n + 1))           # ghost column n: dbar[:, 1:] is rolled by -1
-    np.add(np.where(took_x, sbar, 0.0), right[:, :n], out=dbar[:, :n])
-    dbar[:, n] = dbar[:, 0]
-    return dbar[:, :n] - dbar[:, 1:]
+    wk = op.work
+    lim = wk.lim
+    _char_diffs(op, base.u, base.v)
+    _branches(lim)                         # frozen at base
+    _char_diffs(op, delta.u, delta.v)
+    # frozen slopes sigma[i] = d[i] or d[i+1] as minmod chose at base, else 0;
+    # adding 0.0 rounds a selected -0.0 to +0.0, as where(took_x, d[i], 0) +
+    # where(took_y, d[i+1], 0) does
+    _select(lim.s, lim.x, lim.y, lim)
+    lim.s += _ZERO
+    _limited_faces(wk)
+    return _divergence(op)
 
 
 def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxState:
@@ -316,6 +360,7 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     """
     zu, zv = costate.u, costate.v
     n = op.grid.n_cells
+    m = n + 2
     if zu.shape != (n,) or zv.shape != (n,):
         _check_state(op, zu, zv)   # raises
     if base is None and not op.linear:
@@ -326,7 +371,7 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2,
     # from the periodic forward differences x[i] - x[i+1] of the inputs
     wk = op.work
-    half, t, wp_bar = wk.half, wk.t, wk.wp
+    half, t, wp_bar, wm_bar = wk.half, wk.t, wk.wp_bar, wk.wm_bar
     np.subtract(zu[:-1], zu[1:], out=wk.half_head)
     half[-1] = zu[-1] - zu[0]
     half /= dx
@@ -336,17 +381,31 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     t *= a * a
     t /= dx
     t /= 2.0 * a
-    np.add(t, half, out=wp_bar)            # fp_bar
-    np.subtract(half, t, out=wk.wm_next)   # fm_bar[i-1], ghost wm_buf[0] = wm_buf[n]
-    wk.wm_buf[0] = wk.wm_buf[n]
-    wm_bar = wk.wm
+    np.add(t, half, out=wp_bar)               # fp_bar
+    np.subtract(half, t, out=wk.wm_bar_next)  # fm_bar[i-1]
+    wk.wbar[m] = wk.wbar[m + n]
 
     if not op.linear:
-        # w+ face: fp = wp + sigma(wp)/2; w- face: fm[i] = (wm - sigma(wm)/2)[i+1]
-        g = _slope_transpose(np.stack((wp_bar, wm_bar)), _limiter_masks(op, base))
-        g *= 0.5
-        wp_bar += g[0]
-        wm_bar -= g[1]
+        # w+ face: fp = wp + sigma(wp)/2; w- face: fm[i] = (wm - sigma(wm)/2)[i+1].
+        # sigma[i] = took_x[i]*d[i] + took_y[i]*d[i+1] with d[i] = w[i] - w[i-1]
+        # and the branches frozen at base, so its transpose takes each row of
+        # sbar = (wp_bar, wm_bar) to dbar[i] - dbar[i+1], where
+        # dbar[i] = took_x[i]*sbar[i] + took_y[i-1]*sbar[i-1]
+        lim, right, dbar = wk.lim, wk.right, wk.dbar
+        _char_diffs(op, base.u, base.v)
+        _branches(lim)
+        _select(wk.right_cells, _ZERO, wk.sbar, lim)   # where(took_y, sbar, 0)
+        right[0] = right[n]
+        right[m] = right[m + n]
+        _select(wk.dbar_cells, wk.sbar, _ZERO, lim)    # where(took_x, sbar, 0)
+        np.add(wk.dbar_cells, wk.right_prev, out=wk.dbar_cells)
+        dbar[n] = dbar[0]
+        dbar[m + n] = dbar[m]
+        g = lim.s
+        np.subtract(wk.dbar_cells, wk.dbar_next, out=g)
+        g *= _HALF
+        wp_bar += wk.sp
+        wm_bar -= wk.sm
 
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u
     out_u = wp_bar - wm_bar

@@ -65,7 +65,7 @@ def _nonzero(js, values):
     return tuple((j, float(values[j])) for j in js if values[j] != 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImexTableau:
     """Explicit/implicit Butcher pair sharing one stage count.
 
@@ -84,6 +84,7 @@ class ImexTableau:
     `adjoint_coeffs` is adjoint_coeffs(pair), whose plan is the ark form's, or
     None when a weight is zero and its matrices are undefined; solve_adjoint
     then runs the xi plan.
+    A pair compares and hashes by identity, since its fields are arrays.
     """
 
     name: str
@@ -94,9 +95,9 @@ class ImexTableau:
     s: int = field(init=False)
     c_tilde: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
-    plan: StepPlan = field(init=False, repr=False, compare=False)
-    xi_plan: tuple = field(init=False, repr=False, compare=False)
-    adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False, compare=False)
+    plan: StepPlan = field(init=False, repr=False)
+    xi_plan: tuple = field(init=False, repr=False)
+    adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False)
 
     def __post_init__(self):
         s = len(self.w_tilde)
@@ -129,7 +130,7 @@ class ImexTableau:
         object.__setattr__(self, "adjoint_coeffs", coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointCoeffs:
     """Coefficient matrices of the adjoint time stepper derived from a tableau pair.
 
@@ -149,6 +150,8 @@ class AdjointCoeffs:
     start at 1.0.  The weights of its update row are the diagonals,
     alpha_tilde[j, j] = w_tilde[j] and alpha[j, j] = w[j] exactly, because
     a_tilde[j, j] = 0.
+    The coefficients compare and hash by identity, since their fields are
+    arrays.
     """
 
     alpha_tilde: np.ndarray
@@ -157,7 +160,7 @@ class AdjointCoeffs:
     beta: np.ndarray
     gamma: np.ndarray = field(init=False)
     gamma_tilde: np.ndarray = field(init=False)
-    plan: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", self.alpha.sum(axis=1))

@@ -218,3 +218,11 @@ def test_export_trace_schema_and_determinism(tmp_path):
     export_trace(rep2, str(p2), header="alpha 0.097")
     strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
     assert strip(p1.read_text()) == strip(p2.read_text())
+
+
+def test_control_problem_compares_and_hashes_by_identity():
+    # u_d is an array, so a field-wise == would ask numpy for the truth value of
+    # an elementwise comparison
+    problem, again = _problem(), _problem()
+    assert problem == problem and problem != again
+    assert len({problem, again, problem}) == 2

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import _minmod, roll_apply_dx, roll_apply_dx_linearized, roll_apply_dx_transpose
+from relaxopt import spatial
 from relaxopt.core import RelaxState, make_grid
 from relaxopt.spatial import (SpatialOp, apply_dx, apply_dx_linearized,
                               apply_dx_transpose, minmod)
@@ -275,3 +277,27 @@ def test_slice_stencils_match_roll_oracle_bitwise(n, scheme):
         for got, want in pairs:
             assert np.array_equal(_bits(got.u), _bits(want.u))
             assert np.array_equal(_bits(got.v), _bits(want.v))
+
+
+def test_minmod_and_apply_dx_slopes_come_from_one_rule(monkeypatch):
+    # the roll oracle limiting with the public minmod matches apply_dx bit for bit
+    # on every edge state, so minmod picks the slopes the op path picks
+    monkeypatch.setattr(oracles, "_minmod", minmod)
+    rng = np.random.default_rng(11)
+    for n in (3, 50):
+        op = SpatialOp(make_grid(0.0, 2.0 * np.pi, n), 2.0, scheme="muscl2")
+        for base in _edge_states(n, rng):
+            got, want = apply_dx(op, base), roll_apply_dx(op, base)
+            assert np.array_equal(_bits(got.u), _bits(want.u))
+            assert np.array_equal(_bits(got.v), _bits(want.v))
+    # and both reach the limiter through the same two functions
+    calls = []
+    for name in ("_branches", "_select"):
+        rule = getattr(spatial, name)
+        monkeypatch.setattr(spatial, name,
+                            lambda *args, _rule=rule, _name=name: calls.append(_name) or _rule(*args))
+    minmod(np.array([1.0, -1.0]), np.array([2.0, -0.5]))
+    assert calls == ["_branches", "_select"]
+    calls.clear()
+    apply_dx(op, base)
+    assert calls == ["_branches", "_select"]

@@ -351,3 +351,15 @@ def test_pair_keeps_its_adjoint_coeffs():
     assert dataclasses.replace(tab, w=np.array([1.0, 0.0])).adjoint_coeffs is None
     with pytest.raises(ValueError):
         dataclasses.replace(tab, adjoint_coeffs=tab.adjoint_coeffs)
+
+
+def test_pairs_and_adjoint_coeffs_compare_and_hash_by_identity():
+    # their fields are arrays, so a field-wise == would ask numpy for the truth
+    # value of an elementwise comparison
+    tab, again = builtin_tableau("ars-222"), builtin_tableau("ars-222")
+    assert tab == tab and tab != again
+    assert tab.adjoint_coeffs == tab.adjoint_coeffs
+    assert tab.adjoint_coeffs != again.adjoint_coeffs
+    assert len({tab, again, tab}) == 2
+    assert len({tab.adjoint_coeffs, again.adjoint_coeffs}) == 2
+    assert dataclasses.replace(tab, name="copy") != tab

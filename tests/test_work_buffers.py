@@ -3,9 +3,11 @@
 The stencils and the step sums write their intermediates into the op's
 buffers (SpatialOp.work), so every array they return must own memory apart
 from those buffers, an earlier result must survive later calls on the same
-op, and two ops must never share a buffer.
+op, two ops must never share a buffer, and a stencil call must allocate
+nothing but its outputs.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ N = 16
 
 
 def _buffers(op):
-    return [getattr(op.work, name) for name in type(op.work).__slots__]
+    """Every array an op's work holds, its base classes' and its limiter's included."""
+    found, owners = [], [op.work]
+    while owners:
+        owner = owners.pop()
+        for cls in type(owner).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                value = getattr(owner, name)
+                (found if isinstance(value, np.ndarray) else owners).append(value)
+    return found
 
 
 def _random_state(rng):
@@ -75,3 +85,27 @@ def test_ops_share_no_buffer():
               dataclasses.replace(op), dataclasses.replace(op, scheme="muscl2")]
     for other in others:
         assert not any(np.shares_memory(x, y) for x in _buffers(op) for y in _buffers(other))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stencils_allocate_only_their_outputs(scheme):
+    n = 4096
+    op = SpatialOp(make_grid(0.0, 2.0 * np.pi, n), 2.0, scheme)
+    rng = np.random.default_rng(4)
+    base = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+    delta = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+    calls = {"apply_dx": lambda: apply_dx(op, base),
+             "apply_dx_linearized": lambda: apply_dx_linearized(op, base, delta),
+             "apply_dx_transpose": lambda: apply_dx_transpose(op, delta, base)}
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the two returned fields, plus a few KiB for numpy's and Python's own objects
+        assert peak <= 2 * n * 8 + 4096, f"{name} under {scheme} peaked at {peak} B"
+        assert out.u.size == out.v.size == n
