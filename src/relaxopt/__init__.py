@@ -9,9 +9,8 @@ from .tableau import (ImexTableau, AdjointCoeffs, OrderReport, ZeroWeightError,
 from .spatial import SpatialOp, minmod, apply_dx, apply_dx_linearized, apply_dx_transpose
 from .forward import (DivergenceError, StoredStage, Trajectory, imex_step, solve_forward,
                       export_trajectory)
-from .adjoint import (CostateState, AdjointSweepRecord, terminal_costate,
-                      adjoint_step_ark, adjoint_step_xi, solve_adjoint,
-                      assemble_gradient)
+from .adjoint import (AdjointSweepRecord, terminal_costate, adjoint_step_ark,
+                      adjoint_step_xi, solve_adjoint, assemble_gradient)
 from .optimize import (ControlProblem, OptimizerReport, SubcharacteristicError, cost,
                        reduced_cost, fd_gradient, steepest_descent, export_trace)
 from .studies import (OrderStudyResult, TrackingTableRow, GradientReport,

@@ -1,5 +1,9 @@
 """Backward costate sweeps for the discrete forward scheme, and gradient assembly.
 
+A costate is a RelaxState on the same cell pair as the state: its u part
+(p) is adjoint to u and its v part (q) is adjoint to v, as the discrete
+adjoint is the transpose of the same 2x2 relaxation system.
+
 solve_adjoint is the one sweep.  Its steps transpose the linearized forward
 step exactly, so the assembled gradient is the exact gradient of the
 discrete objective.  Every step runs one function, _adjoint_step, through
@@ -10,7 +14,8 @@ one of two coefficient plans built once with the pair (tableau._adjoint_plan):
 * xi: scaled-variable form, plan ImexTableau.xi_plan; never divides by a
   weight (automatic fallback when ImexTableau.adjoint_coeffs is None).
 
-adjoint_step_ark and adjoint_step_xi name the two plans.  The increment
+adjoint_step_ark and adjoint_step_xi name the two plans and take the same
+arguments, so solve_adjoint picks one before its loop.  The increment
 (zeta) form is a third, algebraically equal recursion; it is kept in
 tests/oracles.py as the oracle both forms are checked against.
 
@@ -24,9 +29,9 @@ full record, which keep no v under the linear upwind1 operator, work alike.
 A step keeps only the costate it returns; its per-stage variables are
 dropped when the step ends, and the sweep keeps only the time-zero costate
 that the gradient reads.  The source transpose reads only the q part of a
-stage costate, so no step computes the p part, and a step calls
-apply_dx_transpose on its own sums, wrapped without re-validation
-(core._pair).
+stage costate, so no step computes the p part.  A step calls
+apply_dx_transpose on its own sums and returns its own sums, both wrapped
+as RelaxStates without re-validation (core._pair).
 
 A plan holds the nonzero coefficients as Python floats, so a sweep derives
 no coefficients and a step indexes no tableau array, does no numpy-scalar
@@ -35,9 +40,8 @@ plan row, with no Python call per term: as in imex_step, the first term
 allocates the result as x * c and adds the base, and every later term is
 formed in the op's scratch array (SpatialOp.work.tmp) and added in place.
 The step stores the source's second component as q / eps and puts its sign
-on the coefficients, and wraps the costate it returns without re-validating
-it.  Through the ark plan it is
-bit-identical to the array-indexing version kept in tests/oracles.py.
+on the coefficients.  Through the ark plan it is bit-identical to the
+array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -49,29 +53,13 @@ import numpy as np
 from .core import FluxModel, RelaxState, _pair
 from .forward import StoredStage, Trajectory
 from .spatial import SpatialOp, apply_dx_transpose
-from .tableau import AdjointCoeffs, ImexTableau
+from .tableau import ImexTableau, adjoint_coeffs
 
 FORMS = ("ark", "xi")
 
 # A step's stages, as imex_step returns them or as a full record stores them:
 # the steppers read each stage's u and pass the stage on as the transpose's base.
 Stage = Union[RelaxState, StoredStage]
-
-
-@dataclass
-class CostateState:
-    """Costate pair: p adjoint to u, q adjoint to v."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        if self.p.shape != self.q.shape or self.p.ndim != 1:
-            raise ValueError(
-                f"p and q must be 1-D fields of equal length, got {self.p.shape} and {self.q.shape}"
-            )
 
 
 @dataclass
@@ -86,29 +74,32 @@ class AdjointSweepRecord:
     working.
     """
 
-    costates: List[CostateState]
-    stage_costates_tilde: List[List[CostateState]]
-    stage_costates: List[List[CostateState]]
+    costates: List[RelaxState]
+    stage_costates_tilde: List[List[RelaxState]]
+    stage_costates: List[List[RelaxState]]
     form_used: str
 
 
-def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> CostateState:
+def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> RelaxState:
     """Gradient of the tracking objective dx/2 * sum (u_T - u_d)^2 at the final time.
 
-    The v-component of the state does not enter the objective, so q starts at
-    zero; p carries the dx weight so the assembled gradient differentiates the
-    discrete objective itself.
+    The v-component of the state does not enter the objective, so the costate's
+    v part starts at zero; its u part carries the dx weight so the assembled
+    gradient differentiates the discrete objective itself.  Both inputs must
+    be 1-D fields of one length; the costate is built from them without
+    re-validation (core._pair).
     """
     u_T = np.asarray(u_T, dtype=float)
     u_d = np.asarray(u_d, dtype=float)
-    if u_T.shape != u_d.shape:
-        raise ValueError(f"shape mismatch: {u_T.shape} vs {u_d.shape}")
-    return CostateState(dx * (u_T - u_d), np.zeros_like(u_T))
+    if u_T.shape != u_d.shape or u_T.ndim != 1:
+        raise ValueError(f"u_T and u_d must be 1-D fields of equal length, "
+                         f"got {u_T.shape} and {u_d.shape}")
+    return _pair(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
 def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel,
-                  eps: float, stages: List[Stage], p_next: CostateState,
-                  h: float) -> CostateState:
+                  eps: float, stages: List[Stage], p_next: RelaxState,
+                  h: float) -> RelaxState:
     """One backward step through an adjoint step plan (tableau._adjoint_plan); returns p_n.
 
     Stages are processed in reverse; the implicit coupling in the q-component
@@ -125,7 +116,7 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
     reads it negates its coefficient instead, which IEEE arithmetic rounds
     identically.
     """
-    p, q = p_next.p, p_next.q
+    p, q = p_next.u, p_next.v
     trans = [None] * tab.s   # D^T of the tilde stage costates; they contribute -trans
     src = [None] * tab.s     # source contributions of the stage costates, q part unsigned
     tmp = op.work.tmp        # one product term, before it is added
@@ -159,9 +150,7 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                     np.multiply(s_q, -c, out=tmp)
                     acc_q += tmp
         if i is None:
-            out = object.__new__(CostateState)   # the step's own sums: no re-validation
-            out.p, out.q = acc_p, acc_q
-            return out
+            return _pair(acc_p, acc_q)
         t = apply_dx_transpose(op, _pair(acc_p, acc_q), stages[i])
         trans[i] = t.u, t.v
 
@@ -181,15 +170,21 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
         src[i] = (s_p, pq / eps)
 
 
-def adjoint_step_ark(coeffs: AdjointCoeffs, tab: ImexTableau, op: SpatialOp,
-                     model: FluxModel, eps: float, stages: List[Stage],
-                     p_next: CostateState, h: float) -> CostateState:
-    """One backward step in stage-costate form, through coeffs.plan; returns p_n."""
+def adjoint_step_ark(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
+                     stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
+    """One backward step in stage-costate form, through tab.adjoint_coeffs.plan; returns p_n.
+
+    Needs every weight nonzero; on a pair with a zero weight (adjoint_coeffs
+    is None) it raises the ZeroWeightError that names the weight.
+    """
+    coeffs = tab.adjoint_coeffs
+    if coeffs is None:
+        adjoint_coeffs(tab)   # raises ZeroWeightError naming the zero weight
     return _adjoint_step(coeffs.plan, tab, op, model, eps, stages, p_next, h)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    stages: List[Stage], p_next: CostateState, h: float) -> CostateState:
+                    stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
     """One backward step in scaled-variable form, through tab.xi_plan; returns p_n.
 
     Defined for any weights.  When all weights are nonzero, stage row i
@@ -214,16 +209,12 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
     if n_steps > 0 and len(traj.stages) != n_steps:
         raise ValueError("trajectory was solved without stage storage; rerun with store_stages=True")
 
-    coeffs = traj.tab.adjoint_coeffs if form == "ark" else None
-    form_used = "ark" if coeffs is not None else "xi"
-
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
+    form_used = "ark" if form == "ark" and tab.adjoint_coeffs is not None else "xi"
+    step = adjoint_step_ark if form_used == "ark" else adjoint_step_xi
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
     for h, stages in zip(reversed(traj.dts.tolist()), reversed(traj.stages)):
-        if coeffs is not None:
-            p = adjoint_step_ark(coeffs, tab, op, model, eps, stages, p, h)
-        else:
-            p = adjoint_step_xi(tab, op, model, eps, stages, p, h)
+        p = step(tab, op, model, eps, stages, p, h)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 
@@ -232,8 +223,9 @@ def assemble_gradient(record: AdjointSweepRecord, u0: np.ndarray,
                       model: FluxModel) -> np.ndarray:
     """Reduced gradient with respect to the initial control:  p_0 + f'(u0) * q_0.
 
-    The f'(u0) factor transposes the pointwise initialization v_0 = f(u_0).
+    p_0 and q_0 are the u and v parts of the time-zero costate; the f'(u0)
+    factor transposes the pointwise initialization v_0 = f(u_0).
     """
     c0 = record.costates[0]
     u0 = np.asarray(u0, dtype=float)
-    return c0.p + np.asarray(model.flux_deriv(u0), float) * c0.q
+    return c0.u + np.asarray(model.flux_deriv(u0), float) * c0.v

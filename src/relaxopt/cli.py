@@ -51,8 +51,6 @@ class RunConfig:
     n_cells: int = 300
     t_final: float = 2.0
     epsilon: float = 1e-6
-    safety: float = 1.2
-    a_floor: float = 0.1
     c_cfl: float = 0.5
     tableau: str = "imex-euler"
     scheme: str = "upwind1"
@@ -185,7 +183,7 @@ def _base_problem(cfg: RunConfig, tab: ImexTableau, n_cells: int,
                   t_final: float) -> ControlProblem:
     """The configured problem on n_cells cells to t_final, with the placeholder target u_d = 0."""
     grid = make_grid(cfg.x_min, cfg.x_max, n_cells)
-    relax = RelaxConfig(epsilon=cfg.epsilon, safety=cfg.safety, a_floor=cfg.a_floor)
+    relax = RelaxConfig(epsilon=cfg.epsilon)
     return ControlProblem(grid=grid, model=burgers_model(), relax=relax,
                           t_final=t_final, u_d=np.zeros(n_cells), tableau=tab,
                           c_cfl=cfg.c_cfl, scheme=cfg.scheme)
@@ -294,8 +292,8 @@ def cmd_tracking_table(cfg: RunConfig) -> int:
 # Every subcommand reads the problem fields; each entry of _COMMANDS names the
 # other RunConfig fields its subcommand reads.  _build_parser offers a flag for
 # exactly these, so a flag the subcommand would ignore is a usage error.
-_PROBLEM_FIELDS = ("x_min", "x_max", "epsilon", "safety", "a_floor", "c_cfl",
-                   "scheme", "tableau", "tableau_file")
+_PROBLEM_FIELDS = ("x_min", "x_max", "epsilon", "c_cfl", "scheme", "tableau",
+                   "tableau_file")
 _COMMANDS: Dict[str, Tuple[Callable[[RunConfig], int], Tuple[str, ...]]] = {
     "solve": (cmd_solve, ("n_cells", "t_final", "output_dir", "frame_stride")),
     "optimize": (cmd_optimize,

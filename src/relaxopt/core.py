@@ -131,9 +131,9 @@ def _pair(u: np.ndarray, v: np.ndarray) -> RelaxState:
 
     For arrays made in the calling function, or taken from a state the
     library built or validated (the adjoint steppers wrap their own costate
-    sums or the parts of p_next): float64, 1-D and of equal length by
-    construction, so the validation would repeat what was already done.
-    Public construction still validates.
+    sums, which are RelaxStates too, or the parts of p_next): float64, 1-D
+    and of equal length by construction, so the validation would repeat
+    what was already done.  Public construction still validates.
     """
     state = object.__new__(RelaxState)
     state.u = u
@@ -141,9 +141,15 @@ def _pair(u: np.ndarray, v: np.ndarray) -> RelaxState:
     return state
 
 
+# The relaxation speed's margin over the largest characteristic speed, and
+# its floor for a field whose characteristic speeds all vanish.
+SAFETY = 1.2
+A_FLOOR = 0.1
+
+
 @dataclass(frozen=True)
 class RelaxConfig:
-    """Relaxation parameters: rate epsilon, speed selection knobs, optional fixed speed.
+    """Relaxation parameters: rate epsilon and an optional fixed speed.
 
     When ``a`` is None the speed is recomputed from the current control at the
     start of each forward solve via subchar_speed; setting ``a`` freezes it
@@ -152,35 +158,34 @@ class RelaxConfig:
     """
 
     epsilon: float = 1e-6
-    safety: float = 1.2
-    a_floor: float = 0.1
     a: Optional[float] = None
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.safety >= 1.0:
-            raise ValueError(f"safety must be >= 1, got {self.safety}")
-        if not self.a_floor > 0:
-            raise ValueError(f"a_floor must be positive, got {self.a_floor}")
         if self.a is not None and not self.a > 0:
             raise ValueError(f"fixed speed a must be positive, got {self.a}")
 
 
 def subchar_speed(model: FluxModel, u_field: np.ndarray, cfg: RelaxConfig) -> float:
-    """Pick the relaxation speed a = max(a_floor, safety * max_i |f'(u_i)|).
+    """Pick the relaxation speed a = max(A_FLOOR, SAFETY * max_i |f'(u_i)|).
 
     The returned speed dominates every characteristic speed of the scalar law
     over the given field, which is the stability requirement for the
-    relaxation approximation.
+    relaxation approximation.  A non-finite f' on the finite field raises
+    ValueError naming the model, rather than letting the floor hide it.  cfg is
+    not read: SAFETY and A_FLOOR are fixed, and the caller applies a fixed
+    speed cfg.a.
     """
     u = np.asarray(u_field, dtype=float)
     if u.size == 0:
         raise ValueError("u_field is empty")
     if not np.all(np.isfinite(u)):
         raise ValueError("u_field contains non-finite entries")
-    speeds = np.abs(np.asarray(model.flux_deriv(u), float))
-    return float(max(cfg.a_floor, cfg.safety * speeds.max()))
+    top = float(np.abs(np.asarray(model.flux_deriv(u), float)).max())
+    if not np.isfinite(top):
+        raise ValueError(f"flux_deriv of model '{model.name}' is non-finite on the field")
+    return max(A_FLOOR, SAFETY * top)
 
 
 def relax_init(u0: np.ndarray, model: FluxModel) -> RelaxState:

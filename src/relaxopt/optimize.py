@@ -63,8 +63,8 @@ class SubcharacteristicError(RuntimeError):
     """A descent iterate breaks the sub-characteristic condition of the frozen speed.
 
     steepest_descent raises it before the forward solve of an iterate whose
-    margin max_i |f'(u0_i)| / a exceeds 1: the frozen speed a no longer
-    dominates the iterate's characteristic speeds, so the relaxation
+    margin max_i |f'(u0_i)| / a exceeds 1 or is NaN: the frozen speed a no
+    longer dominates the iterate's characteristic speeds, so the relaxation
     approximation has lost its stability requirement.  `iteration` counts the
     control updates made before that iterate.
     """
@@ -200,7 +200,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     iterations = 0
     while True:
         margin = float(np.max(np.abs(np.asarray(problem.model.flux_deriv(u0), float)))) / a
-        if margin > 1.0:
+        if not margin <= 1.0:   # a NaN margin fails too
             raise SubcharacteristicError(iterations, margin, a)
         traj = solve_forward(problem, tab, u0, store_stages=True)
         costs.append(cost(traj.steps[-1].u, problem.u_d, dx))

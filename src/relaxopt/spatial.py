@@ -363,8 +363,10 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     m = n + 2
     if zu.shape != (n,) or zv.shape != (n,):
         _check_state(op, zu, zv)   # raises
-    if base is None and not op.linear:
-        raise ValueError("muscl2 transpose needs the linearization base state")
+    if not op.linear:
+        if base is None:
+            raise ValueError("muscl2 transpose needs the linearization base state")
+        _check_state(op, base.u, base.v)
     a, dx = op.a, op.grid.dx
 
     # transpose of the face-difference / back-transform stage:

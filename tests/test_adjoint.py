@@ -5,15 +5,14 @@ import pytest
 
 from relaxopt.core import (RelaxConfig, RelaxState, advection_model,
                            burgers_model, make_grid, relax_init)
-from relaxopt.adjoint import (CostateState, adjoint_step_ark, adjoint_step_xi,
-                              assemble_gradient, solve_adjoint,
-                              terminal_costate)
+from relaxopt.adjoint import (adjoint_step_ark, adjoint_step_xi, assemble_gradient,
+                              solve_adjoint, terminal_costate)
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
                                steepest_descent, _frozen_speed_problem)
 from relaxopt import adjoint as adjoint_module, tableau as tableau_module
 from relaxopt.spatial import SpatialOp
-from relaxopt.tableau import ImexTableau, adjoint_coeffs, builtin_tableau
+from relaxopt.tableau import ImexTableau, ZeroWeightError, builtin_tableau
 
 from oracles import zeta_gradient
 
@@ -53,11 +52,16 @@ def _tracking_setup(n=50, t_final=0.5, tableau="ars-222", eps=1e-6):
 def test_terminal_costate_values():
     u_T = np.array([1.0, 2.0, 3.0])
     p = terminal_costate(u_T, u_T, 0.1)
-    assert np.array_equal(p.p, np.zeros(3))
-    assert np.array_equal(p.q, np.zeros(3))
+    assert type(p) is RelaxState
+    assert np.array_equal(p.u, np.zeros(3))
+    assert np.array_equal(p.v, np.zeros(3))
     p = terminal_costate(u_T, u_T - 1.0, 0.1)
-    assert np.allclose(p.p, 0.1, atol=1e-16)
-    assert np.array_equal(p.q, np.zeros(3))
+    assert np.allclose(p.u, 0.1, atol=1e-16)
+    assert np.array_equal(p.v, np.zeros(3))
+    # mismatched shapes and 2-D fields are rejected
+    for bad_T, bad_d in ((u_T, u_T[:2]), (np.ones((2, 3)), np.zeros((2, 3)))):
+        with pytest.raises(ValueError):
+            terminal_costate(bad_T, bad_d, 0.1)
 
 
 def test_terminal_costate_is_cost_gradient():
@@ -71,7 +75,7 @@ def test_terminal_costate_is_cost_gradient():
     J = lambda u: 0.5 * dx * np.sum((u - u_d) ** 2)
     fd = (J(u_T + th * delta) - J(u_T - th * delta)) / (2 * th)
     pT = terminal_costate(u_T, u_d, dx)
-    assert abs(fd - pT.p @ delta) <= 1e-8
+    assert abs(fd - pT.u @ delta) <= 1e-8
 
 
 def test_imex_euler_backward_matches_four_line_oracle():
@@ -90,19 +94,18 @@ def test_imex_euler_backward_matches_four_line_oracle():
     h = 0.5 * g.dx / a
     _, stages = imex_step(tab, op, model, eps, y, h)
 
-    p_next = CostateState(rng.standard_normal(n), rng.standard_normal(n))
-    p_n = adjoint_step_ark(adjoint_coeffs(tab), tab, op, model, eps,
-                           stages, p_next, h)
+    p_next = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
+    p_n = adjoint_step_ark(tab, op, model, eps, stages, p_next, h)
 
     T = transport_matrix(a, g.dx, n)
-    z = np.concatenate([p_next.p, p_next.q])
+    z = np.concatenate([p_next.u, p_next.v])
     star = z - h * (T.T @ z)
     p_star, q_star = star[:n], star[n:]
     k = h / eps
     q_prev = q_star / (1.0 + k)
     p_prev = p_star + k * model.flux_deriv(stages[0].u) * q_prev
-    assert np.max(np.abs(p_n.p - p_prev)) <= 1e-14
-    assert np.max(np.abs(p_n.q - q_prev)) <= 1e-14
+    assert np.max(np.abs(p_n.u - p_prev)) <= 1e-14
+    assert np.max(np.abs(p_n.v - q_prev)) <= 1e-14
 
 
 def test_zero_terminal_costate_stays_zero():
@@ -111,8 +114,8 @@ def test_zero_terminal_costate_stays_zero():
     traj = solve_forward(prob, tab, u0)
     rec = solve_adjoint(traj, traj.steps[-1].u)   # u_d equals the terminal state
     for c in rec.costates:
-        assert np.array_equal(c.p, np.zeros(20))
-        assert np.array_equal(c.q, np.zeros(20))
+        assert np.array_equal(c.u, np.zeros(20))
+        assert np.array_equal(c.v, np.zeros(20))
     assert np.array_equal(assemble_gradient(rec, u0, prob.model), np.zeros(20))
 
 
@@ -153,7 +156,7 @@ def test_sweep_is_transpose_of_forward_propagator(tableau):
         z = rng.standard_normal(n)
         u_d = traj.steps[-1].u - z / g.dx     # makes the terminal costate (z, 0)
         rec = solve_adjoint(traj, u_d)
-        got = np.concatenate([rec.costates[0].p, rec.costates[0].q])
+        got = np.concatenate([rec.costates[0].u, rec.costates[0].v])
         want = M.T @ np.concatenate([z, np.zeros(n)])
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -193,19 +196,19 @@ def test_sweep_record_keeps_costates_only(form, scheme):
     kept = [a.copy() for a in held]
     rec = solve_adjoint(traj, prob.u_d, form=form)
     assert len(rec.costates) == 1   # the time-0 costate, all the gradient reads
+    assert type(rec.costates[0]) is RelaxState
     assert rec.stage_costates_tilde == [] and rec.stage_costates == []
     # the sweep wrote into no array of the forward record
     for x, a in zip(kept, held):
         assert np.array_equal(x, a)
     # replaying every step from the terminal costate gives the kept one bit for bit
-    step = {"ark": lambda *a: adjoint_step_ark(adjoint_coeffs(tab), *a),
-            "xi": adjoint_step_xi}[form]
+    step = {"ark": adjoint_step_ark, "xi": adjoint_step_xi}[form]
     p = terminal_costate(traj.steps[-1].u, prob.u_d, traj.grid.dx)
     for n in reversed(range(traj.n_steps)):
         p = step(tab, traj.op, prob.model, traj.epsilon, traj.stages[n], p,
                  float(traj.dts[n]))
-    assert np.array_equal(p.p, rec.costates[0].p)
-    assert np.array_equal(p.q, rec.costates[0].q)
+    assert np.array_equal(p.u, rec.costates[0].u)
+    assert np.array_equal(p.v, rec.costates[0].v)
 
 
 def test_zero_weight_tableau_falls_back_to_xi():
@@ -236,6 +239,11 @@ def test_builtin_zero_weight_tableau_uses_fallback():
     traj = solve_forward(prob, tab, u0)
     rec = solve_adjoint(traj, prob.u_d, form="ark")
     assert rec.form_used == "xi"
+    # the ark step itself refuses the pair, naming the zero weight
+    p_T = terminal_costate(traj.steps[-1].u, prob.u_d, traj.grid.dx)
+    with pytest.raises(ZeroWeightError, match=r"w_tilde\[4\] = 0"):
+        adjoint_step_ark(tab, traj.op, prob.model, traj.epsilon, traj.stages[-1], p_T,
+                         float(traj.dts[-1]))
     grad = assemble_gradient(rec, u0, prob.model)
     fd = fd_gradient(prob, u0)
     assert np.max(np.abs(grad - fd)) <= 1e-4 * np.max(np.abs(fd))
@@ -263,12 +271,12 @@ def test_sweep_derives_no_coefficients(tableau, monkeypatch):
         raise AssertionError("solve_adjoint derived the adjoint coefficients")
 
     monkeypatch.setattr(tableau_module, "adjoint_coeffs", underived)
-    monkeypatch.setattr(adjoint_module, "adjoint_coeffs", underived, raising=False)
+    monkeypatch.setattr(adjoint_module, "adjoint_coeffs", underived)
     rec = solve_adjoint(traj, prob.u_d)
     assert rec.form_used == ("ark" if tab.adjoint_coeffs is not None else "xi")
     assert rec.form_used == ("xi" if tableau == "ars-443" else "ark")
-    assert np.array_equal(rec.costates[0].p, want.costates[0].p)
-    assert np.array_equal(rec.costates[0].q, want.costates[0].q)
+    assert np.array_equal(rec.costates[0].u, want.costates[0].u)
+    assert np.array_equal(rec.costates[0].v, want.costates[0].v)
 
 
 def test_sweep_is_linear_in_terminal_costate():
@@ -293,7 +301,7 @@ def test_assemble_gradient_composition():
     q0 = rng.standard_normal(n)
     u0 = rng.standard_normal(n)
     rec = type("R", (), {})()
-    rec.costates = [CostateState(p0, q0)]
+    rec.costates = [RelaxState(p0, q0)]
     c = 1.7
     got = assemble_gradient(rec, u0, advection_model(c))
     assert np.allclose(got, p0 + c * q0, atol=1e-15, rtol=0.0)

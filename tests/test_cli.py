@@ -271,13 +271,16 @@ def test_removed_adjoint_form_key_is_unknown(tmp_path, capsys):
 
 
 def test_removed_limiter_option_is_rejected(tmp_path, capsys):
-    # minmod was its only legal value; muscl2 always limits with it
+    # minmod was limiter's only legal value (muscl2 always limits with it);
+    # safety and a_floor are the constants core.SAFETY and core.A_FLOOR
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("limiter = minmod\n")
-    assert main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
-    assert "unknown config key 'limiter'" in capsys.readouterr().err
-    assert main(["solve", "--limiter", "minmod", "--output-dir", str(tmp_path)]) == 1
-    assert "unrecognized arguments: --limiter minmod" in capsys.readouterr().err
+    for key, value in (("limiter", "minmod"), ("safety", "1.2"), ("a_floor", "0.1")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        assert main(["solve", flag, value, "--output-dir", str(tmp_path)]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relaxopt.core import (RelaxConfig, RelaxState, advection_model, burgers_model,
-                           check_flux_deriv, custom_model, make_grid, relax_init,
-                           subchar_speed)
+from relaxopt.core import (A_FLOOR, SAFETY, FluxModel, RelaxConfig, RelaxState,
+                           advection_model, burgers_model, check_flux_deriv, custom_model,
+                           make_grid, relax_init, subchar_speed)
 
 
 def test_make_grid_quarters_of_two_pi():
@@ -83,24 +83,22 @@ def test_custom_model_rejects_wrong_derivative():
 
 
 def test_subchar_speed_scales_max_speed():
-    cfg = RelaxConfig(epsilon=1e-6, safety=1.1, a_floor=0.1)
-    a = subchar_speed(burgers_model(), np.array([-1.0, 0.5, 2.0]), cfg)
-    assert abs(a - 2.2) < 1e-14
+    assert (SAFETY, A_FLOOR) == (1.2, 0.1)
+    a = subchar_speed(burgers_model(), np.array([-1.0, 0.5, 2.0]), RelaxConfig())
+    assert a == SAFETY * 2.0
     assert a >= np.abs(np.array([-1.0, 0.5, 2.0])).max()
 
 
 def test_subchar_speed_floor_engages():
-    cfg = RelaxConfig(epsilon=1e-6, safety=1.2, a_floor=0.1)
-    assert subchar_speed(burgers_model(), np.zeros(16), cfg) == 0.1
+    assert subchar_speed(burgers_model(), np.zeros(16), RelaxConfig()) == A_FLOOR
 
 
 def test_subchar_speed_sampled_sine_field():
     g = make_grid(0.0, 2.0 * np.pi, 300)
     u = 0.5 + np.sin(g.centers)
-    cfg = RelaxConfig(epsilon=1e-6, safety=1.0, a_floor=0.1)
-    a = subchar_speed(burgers_model(), u, cfg)
-    assert a == np.abs(u).max()
-    assert 1.4 < a < 1.6
+    a = subchar_speed(burgers_model(), u, RelaxConfig(epsilon=1e-6))
+    assert a == SAFETY * np.abs(u).max()
+    assert 1.4 < a / SAFETY < 1.6
 
 
 def test_subchar_speed_rejects_nan():
@@ -108,6 +106,10 @@ def test_subchar_speed_rejects_nan():
     bad = np.array([0.0, np.nan, 1.0])
     with pytest.raises(ValueError):
         subchar_speed(burgers_model(), bad, cfg)
+    # a finite field on which f' is NaN names the model instead of returning the floor
+    root = FluxModel(lambda u: u ** 1.5 / 1.5, np.sqrt, name="root")
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="'root'"):
+        subchar_speed(root, np.array([-1.0, 4.0]), cfg)
 
 
 def test_relax_init_burgers_constant():
@@ -136,9 +138,10 @@ def test_relax_state_shape_validation():
 def test_relax_config_validation():
     with pytest.raises(ValueError):
         RelaxConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        RelaxConfig(safety=0.5)
-    with pytest.raises(ValueError):
-        RelaxConfig(a_floor=0.0)
+    # the speed's margin and floor are constants of core, not settings
+    with pytest.raises(TypeError):
+        RelaxConfig(safety=1.2)
+    with pytest.raises(TypeError):
+        RelaxConfig(a_floor=0.1)
     with pytest.raises(ValueError):
         RelaxConfig(a=-1.0)

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from relaxopt.core import RelaxConfig, burgers_model, make_grid, subchar_speed
+from relaxopt.core import FluxModel, RelaxConfig, burgers_model, make_grid, subchar_speed
 from relaxopt.adjoint import assemble_gradient, solve_adjoint
 from relaxopt.forward import solve_forward
 from relaxopt.optimize import (DEFAULT_ALPHA, ControlProblem, SubcharacteristicError, cost,
@@ -169,6 +169,12 @@ def test_descent_stops_when_an_iterate_outruns_the_frozen_speed():
     assert err.value.margin == pytest.approx(1.0011, abs=5e-5)
     assert err.value.a == prob.relax.a
     assert "iterate 5" in str(err.value) and f"a = {prob.relax.a:.6g}" in str(err.value)
+    # a NaN margin stops the descent as well: f' = sqrt is NaN where u0 < 0
+    root = FluxModel(lambda u: u ** 1.5 / 1.5, np.sqrt, name="root")
+    nan_prob = dataclasses.replace(_problem(n=10, a=1.0), model=root)
+    with np.errstate(invalid="ignore"), pytest.raises(SubcharacteristicError) as err:
+        steepest_descent(nan_prob, np.full(10, -1.0))
+    assert err.value.iteration == 0 and np.isnan(err.value.margin)
 
 
 def test_control_problem_validation():

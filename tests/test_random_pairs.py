@@ -9,7 +9,7 @@ with nonzero weights and zero matrix entries, which the ark step accepts.
 import numpy as np
 import pytest
 
-from relaxopt.adjoint import FORMS, CostateState, assemble_gradient, solve_adjoint
+from relaxopt.adjoint import FORMS, assemble_gradient, solve_adjoint
 from relaxopt.core import RelaxConfig, RelaxState, burgers_model, make_grid, subchar_speed
 from relaxopt.forward import imex_step, solve_forward
 from relaxopt.optimize import ControlProblem
@@ -75,7 +75,7 @@ def test_steps_match_reference_bitwise_on_random_pairs(scheme):
             tab = random_pair(rng, zero_weights)
             g, model, u, a = _setup(rng)
             y = RelaxState(u, model.flux(u) + 0.1 * rng.standard_normal(N))
-            p_next = CostateState(costates.standard_normal(N), costates.standard_normal(N))
+            p_next = RelaxState(costates.standard_normal(N), costates.standard_normal(N))
             op = SpatialOp(g, a, scheme)
             arks += assert_steps_match_reference(tab, op, model, EPS, y, 0.5 * g.dx / a, p_next)
     assert arks >= PAIRS

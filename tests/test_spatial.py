@@ -169,8 +169,15 @@ def test_size_mismatch_raises():
 def test_muscl_transpose_requires_base():
     g = make_grid(0.0, 1.0, 8)
     op = SpatialOp(g, 1.0, scheme="muscl2")
-    with pytest.raises(ValueError):
-        apply_dx_transpose(op, RelaxState(np.zeros(8), np.zeros(8)))
+    z = RelaxState(np.zeros(8), np.zeros(8))
+    with pytest.raises(ValueError, match="linearization base"):
+        apply_dx_transpose(op, z)
+    # a base of the wrong size is rejected as apply_dx_linearized rejects it
+    one_cell = RelaxState(np.zeros(1), np.zeros(1))
+    for fn in (lambda: apply_dx_transpose(op, z, one_cell),
+               lambda: apply_dx_linearized(op, one_cell, z)):
+        with pytest.raises(ValueError, match=r"state size \(1,\)/\(1,\) does not match grid"):
+            fn()
 
 
 def test_minmod_values():

@@ -12,7 +12,6 @@ Random pairs are covered in test_random_pairs.py.
 import numpy as np
 import pytest
 
-from relaxopt.adjoint import CostateState
 from relaxopt.core import RelaxConfig, RelaxState, burgers_model, make_grid, subchar_speed
 from relaxopt.spatial import SpatialOp
 from relaxopt.tableau import builtin_names, builtin_tableau
@@ -32,7 +31,7 @@ def test_registered_pairs_match_reference_steps_bitwise(name, scheme, eps):
     y = RelaxState(u, model.flux(u) + 0.1 * rng.standard_normal(n))
     a = subchar_speed(model, u, RelaxConfig(epsilon=eps))
     op = SpatialOp(g, a, scheme)
-    p_next = CostateState(rng.standard_normal(n), rng.standard_normal(n))
+    p_next = RelaxState(rng.standard_normal(n), rng.standard_normal(n))
     ark = assert_steps_match_reference(builtin_tableau(name), op, model, eps, y,
                                        0.5 * g.dx / a, p_next)
     assert ark == (name != "ars-443")   # ars-443 has zero weights

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relaxopt.adjoint import CostateState, adjoint_step_ark, adjoint_step_xi
+from relaxopt.adjoint import adjoint_step_ark, adjoint_step_xi
 from relaxopt.core import RelaxState, burgers_model, make_grid
 from relaxopt.forward import imex_step
 from relaxopt.spatial import (SCHEMES, SpatialOp, apply_dx, apply_dx_linearized,
@@ -49,10 +49,10 @@ def _outputs(op, rng):
     tab = builtin_tableau("ars-222")
     y, stages = imex_step(tab, op, model, 1e-6, base, h)
     arrays += [y.u, y.v] + [x for st in stages for x in (st.u, st.v)]
-    p_next = CostateState(rng.standard_normal(N), rng.standard_normal(N))
-    for p in (adjoint_step_ark(tab.adjoint_coeffs, tab, op, model, 1e-6, stages, p_next, h),
-              adjoint_step_xi(tab, op, model, 1e-6, stages, p_next, h)):
-        arrays += [p.p, p.q]
+    p_next = RelaxState(rng.standard_normal(N), rng.standard_normal(N))
+    for step in (adjoint_step_ark, adjoint_step_xi):
+        p = step(tab, op, model, 1e-6, stages, p_next, h)
+        arrays += [p.u, p.v]
     return arrays
 
 
