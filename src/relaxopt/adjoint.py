@@ -33,10 +33,15 @@ stage costate, so no step computes the p part.  A step calls
 apply_dx_transpose on its own sums and returns its own sums, both wrapped
 as RelaxStates without re-validation (core._pair).
 
-A plan holds the nonzero coefficients as Python floats, so a sweep derives
-no coefficients and a step indexes no tableau array, does no numpy-scalar
-arithmetic and builds no term lists.  Each combination is one loop over its
-plan row, with no Python call per term: as in imex_step, the first term
+A plan holds the nonzero coefficients as Python floats.  A step walks it
+scaled for its step size (_scaled_plan): the products -h*c, the stage
+solve's 1 + h*a_ii/eps, the starts that are not 1.0 and eps itself, as
+read-only 0-d arrays, which numpy takes as they are, where a Python float
+operand is converted on every call.  The sweep builds one scaled plan per
+distinct step size, at most two (h and the shortened last step), and a bare
+stepper call builds its own; so a step indexes no tableau array, forms no
+coefficient and builds no term lists.  Each combination is one loop over
+its plan row, with no Python call per term: as in imex_step, the first term
 allocates the result as x * c and adds the base, and every later term is
 formed in the op's scratch array (SpatialOp.work.tmp) and added in place.
 The step stores the source's second component as q / eps and puts its sign
@@ -46,11 +51,11 @@ array-indexing version kept in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from .core import FluxModel, RelaxState, _pair
+from .core import FluxModel, RelaxState, _const, _pair
 from .forward import StoredStage, Trajectory
 from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import ImexTableau, adjoint_coeffs
@@ -97,10 +102,38 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> RelaxState:
     return _pair(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
+def _scaled_plan(plan: tuple, tab: ImexTableau, eps: float, h: float) -> tuple:
+    """An adjoint step plan (tableau._adjoint_plan) scaled for one step size h.
+
+    Returns (eps, rows), eps being the divisor of the source costates.
+    Every constant is a read-only 0-d array (core._const), the double
+    _adjoint_step would otherwise form from Python floats on every call, so
+    results are bit-identical.  A row is (i, start_t, start_q,
+    coupled, trans, src, solve): a start is None where it is 1.0; coupled
+    holds (j, -h*cf_t, (h*cf_s, -(h*cf_s))) with None for a zero entry;
+    trans and src hold (j, -(h*cf)); solve is 1.0 + h*a_impl[i, i]/eps, or
+    None on the update row.
+    """
+    def start(c):
+        return None if c == 1.0 else _const(c)
+
+    def negated(terms):
+        return tuple((j, _const(-(h * cf))) for j, cf in terms)
+
+    rows = tuple(
+        (i, start(start_t), start(start_q),
+         tuple((j, _const(-h * cf_t) if cf_t else None,
+                (_const(h * cf_s), _const(-(h * cf_s))) if cf_s else None)
+               for j, cf_t, cf_s in coupled),
+         negated(trans_terms), negated(src_terms),
+         None if i is None else _const(1.0 + h * tab.plan.stages[i][1] / eps))
+        for i, start_t, start_q, coupled, trans_terms, src_terms in plan)
+    return _const(eps), rows
+
+
 def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel,
-                  eps: float, stages: List[Stage], p_next: RelaxState,
-                  h: float) -> RelaxState:
-    """One backward step through an adjoint step plan (tableau._adjoint_plan); returns p_n.
+                  stages: List[Stage], p_next: RelaxState) -> RelaxState:
+    """One backward step through a scaled adjoint step plan (_scaled_plan); returns p_n.
 
     Stages are processed in reverse; the implicit coupling in the q-component
     is eliminated in closed form, mirroring the forward stage solve.  Each
@@ -117,14 +150,14 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
     identically.
     """
     p, q = p_next.u, p_next.v
+    eps, rows = plan
     trans = [None] * tab.s   # D^T of the tilde stage costates; they contribute -trans
     src = [None] * tab.s     # source contributions of the stage costates, q part unsigned
     tmp = op.work.tmp        # one product term, before it is added
-    for i, start_t, start_q, coupled, trans_terms, src_terms in plan:
-        acc_p, acc_q = (p, q) if start_t == 1.0 else (start_t * p, start_t * q)
-        for j, cf_t, cf_s in coupled:
-            if cf_t:
-                c = -h * cf_t
+    for i, start_t, start_q, coupled, trans_terms, src_terms, solve in rows:
+        acc_p, acc_q = (p, q) if start_t is None else (start_t * p, start_t * q)
+        for j, c, cs in coupled:
+            if c is not None:
                 t_p, t_q = trans[j]
                 if acc_p is p:   # every term adds to both, so acc_q is q exactly when acc_p is p
                     acc_p = t_p * c
@@ -136,62 +169,70 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                     acc_p += tmp
                     np.multiply(t_q, c, out=tmp)
                     acc_q += tmp
-            if cf_s:
-                c = h * cf_s
+            if cs is not None:
+                c, neg_c = cs
                 s_p, s_q = src[j]
                 if acc_p is p:
                     acc_p = s_p * c
                     acc_p += p
-                    acc_q = s_q * -c
+                    acc_q = s_q * neg_c
                     acc_q += q
                 else:
                     np.multiply(s_p, c, out=tmp)
                     acc_p += tmp
-                    np.multiply(s_q, -c, out=tmp)
+                    np.multiply(s_q, neg_c, out=tmp)
                     acc_q += tmp
         if i is None:
             return _pair(acc_p, acc_q)
         t = apply_dx_transpose(op, _pair(acc_p, acc_q), stages[i])
         trans[i] = t.u, t.v
 
-        b_q = q if start_q == 1.0 else start_q * q
+        b_q = q if start_q is None else start_q * q
         for terms, part in ((trans_terms, trans), (src_terms, src)):
-            for j, cf in terms:
+            for j, c in terms:
                 if b_q is q:
-                    b_q = part[j][1] * -(h * cf)
+                    b_q = part[j][1] * c
                     b_q += q
                 else:
-                    np.multiply(part[j][1], -(h * cf), out=tmp)
+                    np.multiply(part[j][1], c, out=tmp)
                     b_q += tmp
-        k = h * tab.plan.stages[i][1] / eps
-        pq = b_q / (1.0 + k)
+        pq = b_q / solve
         s_p = np.asarray(model.flux_deriv(stages[i].u), float) * pq
         s_p /= eps
         src[i] = (s_p, pq / eps)
 
 
 def adjoint_step_ark(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                     stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
+                     stages: List[Stage], p_next: RelaxState, h: float, *,
+                     plan: Optional[tuple] = None) -> RelaxState:
     """One backward step in stage-costate form, through tab.adjoint_coeffs.plan; returns p_n.
 
     Needs every weight nonzero; on a pair with a zero weight (adjoint_coeffs
-    is None) it raises the ZeroWeightError that names the weight.
+    is None) it raises the ZeroWeightError that names the weight.  A bare
+    call scales the plan for h; solve_adjoint passes it as `plan`, which
+    must be _scaled_plan(tab.adjoint_coeffs.plan, tab, eps, h).
     """
     coeffs = tab.adjoint_coeffs
     if coeffs is None:
         adjoint_coeffs(tab)   # raises ZeroWeightError naming the zero weight
-    return _adjoint_step(coeffs.plan, tab, op, model, eps, stages, p_next, h)
+    if plan is None:
+        plan = _scaled_plan(coeffs.plan, tab, eps, h)
+    return _adjoint_step(plan, tab, op, model, stages, p_next)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
+                    stages: List[Stage], p_next: RelaxState, h: float, *,
+                    plan: Optional[tuple] = None) -> RelaxState:
     """One backward step in scaled-variable form, through tab.xi_plan; returns p_n.
 
     Defined for any weights.  When all weights are nonzero, stage row i
     forms w_tilde[i] times the ark form's tilde stage costate and w[i] times
-    the q part of its stage costate.
+    the q part of its stage costate.  `plan` is as for adjoint_step_ark,
+    scaled from tab.xi_plan.
     """
-    return _adjoint_step(tab.xi_plan, tab, op, model, eps, stages, p_next, h)
+    if plan is None:
+        plan = _scaled_plan(tab.xi_plan, tab, eps, h)
+    return _adjoint_step(plan, tab, op, model, stages, p_next)
 
 
 def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> AdjointSweepRecord:
@@ -211,10 +252,16 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
 
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     form_used = "ark" if form == "ark" and tab.adjoint_coeffs is not None else "xi"
-    step = adjoint_step_ark if form_used == "ark" else adjoint_step_xi
+    if form_used == "ark":
+        step, plan = adjoint_step_ark, tab.adjoint_coeffs.plan
+    else:
+        step, plan = adjoint_step_xi, tab.xi_plan
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
+    scaled = scaled_h = None
     for h, stages in zip(reversed(traj.dts.tolist()), reversed(traj.stages)):
-        p = step(tab, op, model, eps, stages, p, h)
+        if h != scaled_h:
+            scaled, scaled_h = _scaled_plan(plan, tab, eps, h), h
+        p = step(tab, op, model, eps, stages, p, h, plan=scaled)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 

@@ -15,11 +15,15 @@ export_trajectory writes its frames as they are reached.
 A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
 built once with the pair: the nonzero entries as Python floats, so a step
 neither slices the coefficient arrays nor compares numpy scalars with zero.
-Each combination of a stage or of the update is one loop over its plan row,
-with no Python call per term: the first term allocates the result as
-x * c and adds the base to it, which IEEE arithmetic rounds exactly as
-base + c * x, and every later term is formed in the op's scratch array
-(SpatialOp.work.tmp) and added in place, so a term allocates no
+A step multiplies by that plan scaled for its step size (_scaled_plan): the
+products -h*ct, h*ci, eps + h*a_ii and h*a_ii as read-only 0-d arrays,
+which numpy takes as they are, where a Python float operand is converted
+on every call.  A solve builds one scaled plan per distinct step size, at
+most two.  Each combination of a stage or of the update is one loop over
+its plan row, with no Python call per term: the first term allocates the
+result as x * c and adds the base to it, which IEEE arithmetic rounds
+exactly as base + c * x, and every later term is formed in the op's scratch
+array (SpatialOp.work.tmp) and added in place, so a term allocates no
 temporary.  Finite values are checked once per step, on the result, with
 one reduction over both fields, the dot product u.v: any
 non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so only
@@ -40,7 +44,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import FluxModel, Grid, RelaxState, _pair, relax_init, subchar_speed
+from .core import FluxModel, Grid, RelaxState, _const, _pair, relax_init, subchar_speed
 from .output import write_csv
 from .spatial import SpatialOp, apply_dx
 from .tableau import ImexTableau
@@ -116,8 +120,24 @@ class Trajectory:
         return len(self.times) - 1
 
 
+def _scaled_plan(tab: ImexTableau, eps: float, h: float) -> tuple:
+    """tab.plan scaled for one step size h, as read-only 0-d arrays (core._const).
+
+    One row per stage, (terms, eps + h*a_ii, h*a_ii), then the update row
+    (terms, None, None).  terms holds (j, -h*ct, h*ci) for each (j, ct, ci)
+    of the plan row, with None for a zero entry.  Each constant is the
+    double the step would otherwise form from Python floats on every call.
+    """
+    def row(terms):
+        return tuple((j, _const(-h * ct) if ct else None, _const(h * ci) if ci else None)
+                     for j, ct, ci in terms)
+    stages = tuple((row(terms), _const(eps + h * diag), _const(h * diag))
+                   for terms, diag in tab.plan.stages)
+    return stages + ((row(tab.plan.weights), None, None),)
+
+
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-              y_n: RelaxState, h: float, step_index: int = 0):
+              y_n: RelaxState, h: float, step_index: int = 0, *, plan: Optional[tuple] = None):
     """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
 
     Stage i: the u-component is fully explicit (the source has zero first
@@ -128,7 +148,10 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     by 1/eps, so local-equilibrium states (v = f(u) constant) are exact fixed
     points.  The step update applies the explicit weights to the transport
     increments and the implicit weights to the source values.  The
-    coefficients come from tab.plan, so zero entries cost nothing.
+    coefficients come from tab.plan, scaled by h once (_scaled_plan), so
+    zero entries cost nothing and no product takes a Python float.  A bare
+    call builds that plan; _march passes one per distinct step size as
+    `plan`, which must be _scaled_plan(tab, eps, h).
 
     A combination (u, v) - h * sum ct (trans_u[j], trans_v[j]) + h * sum ci
     (0, source[j]) adds its terms left to right, and for v the transport term
@@ -151,40 +174,41 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
+    if plan is None:
+        plan = _scaled_plan(tab, eps, h)
     u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
     tmp = op.work.tmp                       # one product term, before it is added
     # the s stage rows, then the update row (weights, no diagonal)
-    for terms, diag in (*tab.plan.stages, (tab.plan.weights, None)):
+    for terms, denom, hdiag in plan:
         ru, rv = u, v
         for j, ct, ci in terms:
-            if ct:
-                c = -h * ct
+            if ct is not None:
                 if ru is u:
-                    ru = trans_u[j] * c
+                    ru = trans_u[j] * ct
                     ru += u
                 else:
-                    np.multiply(trans_u[j], c, out=tmp)
+                    np.multiply(trans_u[j], ct, out=tmp)
                     ru += tmp
                 if rv is v:
-                    rv = trans_v[j] * c
+                    rv = trans_v[j] * ct
                     rv += v
                 else:
-                    np.multiply(trans_v[j], c, out=tmp)
+                    np.multiply(trans_v[j], ct, out=tmp)
                     rv += tmp
-            if ci:
+            if ci is not None:
                 if rv is v:
-                    rv = source[j] * (h * ci)
+                    rv = source[j] * ci
                     rv += v
                 else:
-                    np.multiply(source[j], h * ci, out=tmp)
+                    np.multiply(source[j], ci, out=tmp)
                     rv += tmp
-        if diag is None:
+        if denom is None:
             break
         src = np.asarray(model.flux(ru), float) - rv
-        src /= eps + h * diag
-        sv = src * (h * diag)
+        src /= denom
+        sv = src * hdiag
         sv += rv
         stage = _pair(ru, sv)
         stages.append(stage)
@@ -255,13 +279,17 @@ def _march(traj: Trajectory):
     The one step loop.  It keeps no state but the current one, and enters no
     np.errstate: a consumer holds that around its whole loop, so overflow is
     reported through DivergenceError, which gets the failing step's start
-    time here.
+    time here.  It builds a scaled plan (_scaled_plan) when the step size
+    changes, so a solve builds at most two: h, and the shortened last step.
     """
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     y = traj.steps[0]
+    plan = plan_h = None
     for n, hn in enumerate(traj.dts.tolist()):
+        if hn != plan_h:
+            plan, plan_h = _scaled_plan(tab, eps, hn), hn
         try:
-            y, stage_states = imex_step(tab, op, model, eps, y, hn, step_index=n)
+            y, stage_states = imex_step(tab, op, model, eps, y, hn, step_index=n, plan=plan)
         except DivergenceError as err:
             # imex_step knows the step index, not the time; add the step's start time
             raise DivergenceError(err.step, err.stage, float(traj.times[n])) from None

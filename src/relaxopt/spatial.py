@@ -40,7 +40,10 @@ step calls, write their shape check, upwind faces and differences inline
 instead of through helper frames; the transpose's inputs arrive unpadded,
 so it forms x[i] - x[i+1] with one slice subtraction and the wrapped last
 element.  The operators compute a*u once and scale their own
-temporaries in place (/ (2a), * 0.5, / dx, * a^2), and the transpose forms
+temporaries in place (/ (2a), * 0.5, / dx, * a^2), each by a read-only 0-d
+array: 0.5 is the module's, and a, 2a, a^2 and dx are the op's, made with
+its work (_Work), since numpy converts a Python float operand on every
+call but takes a 0-d array as it is.  The transpose forms
 fm_bar = vf_bar/2 - uf_bar/(2a), which IEEE arithmetic rounds exactly as
 (-uf_bar)/(2a) + vf_bar/2.  Each output element sees the same
 floating-point operations in the same order as the `roll` formulas, so the
@@ -51,20 +54,20 @@ leaves the module: the arrays the operators return own their data, and
 (core._pair).
 
 The work buffers belong to the operator.  SpatialOp.work, made once with the
-op, holds a*u, the faces and _divergence's face fields with their ghost
-cells, the transpose's differences and w-cotangents, the shifted views of
-each (made once), and one scratch array of length N in which imex_step and
-the adjoint step form each product term of their sums.  A muscl2 op's work
-(_LimitedWork) also holds the families, the limiter's differences,
-magnitudes, products, branch masks and slopes, and the transpose's two
-ghost-cell buffers.  The stencils write their intermediates there with
-out=, so under either scheme apply_dx, apply_dx_linearized and
-apply_dx_transpose allocate nothing but the two arrays they return, and
-slice no buffer of their own.  Those arrays own their data, so no later
-call overwrites an earlier result.  Every call on an op writes the same
-buffers, so an op must not be shared between threads: solve_forward makes a
-fresh op for every solve, and dataclasses.replace makes one with buffers of
-its own.
+op, holds its constants a, 2a, a^2 and dx, a*u, the faces and _divergence's
+face fields with their ghost cells, the transpose's differences and
+w-cotangents, the shifted views of each (made once), and one scratch array
+of length N in which imex_step and the adjoint step form each product term
+of their sums.  A muscl2 op's work (_LimitedWork) also holds the families,
+the limiter's differences, magnitudes, products, branch masks and slopes,
+and the transpose's two ghost-cell buffers.  The stencils write their
+intermediates there with out=, so under either scheme apply_dx,
+apply_dx_linearized and apply_dx_transpose allocate nothing but the two
+arrays they return, and slice no buffer of their own.  Those arrays own
+their data, so no later call overwrites an earlier result.  Every call on
+an op writes the same buffers, so an op must not be shared between threads:
+solve_forward makes a fresh op for every solve, and dataclasses.replace
+makes one with buffers of its own and constants from its new inputs.
 """
 from __future__ import annotations
 
@@ -72,15 +75,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, RelaxState, _pair
+from .core import Grid, RelaxState, _const, _pair
 
 SCHEMES = ("upwind1", "muscl2")
 
-# The limiter's constants as read-only 0-d arrays: numpy converts a Python
-# float operand on every call, which costs more than the work on N = 50 cells
-_ZERO = np.zeros(())
-_HALF = np.full((), 0.5)
-_ZERO.flags.writeable = _HALF.flags.writeable = False
+# The stencils' fixed constants as read-only 0-d arrays (core._const); the
+# op's own, a, 2a, a^2 and dx, are in its work
+_ZERO = _const(0.0)
+_HALF = _const(0.5)
 
 
 class _Limiter:
@@ -106,20 +108,25 @@ class _Limiter:
 
 
 class _Work:
-    """An operator's work buffers: the stencil intermediates and the step scratch.
+    """An operator's work buffers and constants: the stencil intermediates and the step scratch.
 
+    a, two_a, a_sq and dx are the op's a, 2.0*a, a*a and grid.dx as
+    read-only 0-d arrays (core._const), the scalings the stencils apply.
     Each buffer with a ghost cell has its shifted views made here once, so a
     stencil call slices none of them.  wbar holds the transpose's
     w-cotangents as two rows of m = N+2 (see _LimitedWork): wp_bar in
     wbar[:N], wm_bar in wbar[m:m+N], whose ghost wbar[m] repeats wbar[m+N].
     """
 
-    __slots__ = ("au", "fp", "fm_buf", "fm_cells", "fm", "u_face", "uf", "uf_prev",
+    __slots__ = ("a", "two_a", "a_sq", "dx",
+                 "au", "fp", "fm_buf", "fm_cells", "fm", "u_face", "uf", "uf_prev",
                  "v_face", "vf", "vf_prev", "half", "half_head", "t", "t_head",
                  "wbar", "wp_bar", "wm_bar", "wm_bar_next", "tmp")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, a: float, dx: float):
         m = n + 2
+        self.a, self.two_a, self.a_sq = _const(a), _const(2.0 * a), _const(a * a)
+        self.dx = _const(dx)
         self.au = np.empty(n)                  # a*u
         self.fp = np.empty(n)                  # w+ faces
         self.fm_buf = np.empty(n + 1)          # w- faces fm = fm_buf[1:], ghost fm_buf[n]
@@ -153,8 +160,8 @@ class _LimitedWork(_Work):
     __slots__ = ("w", "wp", "wm", "w_next", "w_prev", "lim", "d_head", "sp", "sm", "sbar",
                  "right", "right_cells", "right_prev", "dbar", "dbar_cells", "dbar_next")
 
-    def __init__(self, n: int):
-        super().__init__(n)
+    def __init__(self, n: int, a: float, dx: float):
+        super().__init__(n, a, dx)
         m = n + 2
         self.w = np.full(2 * m, np.nan)        # _char_diffs: w+ in w[1:1+N], w- in w[m+1:m+1+N]
         self.wp, self.wm = self.w[1:1 + n], self.w[m + 1:m + 1 + n]
@@ -190,7 +197,7 @@ class SpatialOp:
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
         work = _Work if self.linear else _LimitedWork
-        object.__setattr__(self, "work", work(self.grid.n_cells))
+        object.__setattr__(self, "work", work(self.grid.n_cells, self.a, self.grid.dx))
 
     @property
     def linear(self) -> bool:
@@ -249,7 +256,7 @@ def _char_diffs(op: SpatialOp, u, v):
     n, m = op.grid.n_cells, op.grid.n_cells + 2
     wk = op.work
     w, d = wk.w, wk.lim.d
-    np.multiply(u, op.a, out=wk.au)
+    np.multiply(u, wk.a, out=wk.au)
     np.add(v, wk.au, out=wk.wp)
     np.subtract(v, wk.au, out=wk.wm)
     w[0] = w[n]
@@ -282,21 +289,20 @@ def _divergence(op: SpatialOp):
     Each face field is written into a buffer whose ghost cell 0 repeats the
     last face, N-1/2, which wraps around to face -1/2.
     """
-    a, dx = op.a, op.grid.dx
     wk = op.work
     n = op.grid.n_cells
     fp, fm, uf, vf = wk.fp, wk.fm, wk.uf, wk.vf
     np.subtract(fp, fm, out=uf)
-    uf /= 2.0 * a
+    uf /= wk.two_a
     wk.u_face[0] = wk.u_face[n]
     np.add(fp, fm, out=vf)
-    vf *= 0.5
+    vf *= _HALF
     wk.v_face[0] = wk.v_face[n]
     out_u = vf - wk.vf_prev
-    out_u /= dx
+    out_u /= wk.dx
     out_v = uf - wk.uf_prev
-    out_v *= a * a
-    out_v /= dx
+    out_v *= wk.a_sq
+    out_v /= wk.dx
     return _pair(out_u, out_v)
 
 
@@ -310,7 +316,7 @@ def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     if op.linear:
         # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost fm_buf[n] = fm_buf[0]
         au = wk.au
-        np.multiply(u, op.a, out=au)
+        np.multiply(u, wk.a, out=au)
         np.add(v, au, out=wk.fp)
         np.subtract(v, au, out=wk.fm_cells)
         wk.fm_buf[n] = wk.fm_buf[0]
@@ -367,7 +373,6 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
         if base is None:
             raise ValueError("muscl2 transpose needs the linearization base state")
         _check_state(op, base.u, base.v)
-    a, dx = op.a, op.grid.dx
 
     # transpose of the face-difference / back-transform stage:
     # fp_bar = uf_bar/(2a) + vf_bar/2 and fm_bar = -uf_bar/(2a) + vf_bar/2,
@@ -376,13 +381,13 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     half, t, wp_bar, wm_bar = wk.half, wk.t, wk.wp_bar, wk.wm_bar
     np.subtract(zu[:-1], zu[1:], out=wk.half_head)
     half[-1] = zu[-1] - zu[0]
-    half /= dx
-    half *= 0.5
+    half /= wk.dx
+    half *= _HALF
     np.subtract(zv[:-1], zv[1:], out=wk.t_head)
     t[-1] = zv[-1] - zv[0]
-    t *= a * a
-    t /= dx
-    t /= 2.0 * a
+    t *= wk.a_sq
+    t /= wk.dx
+    t /= wk.two_a
     np.add(t, half, out=wp_bar)               # fp_bar
     np.subtract(half, t, out=wk.wm_bar_next)  # fm_bar[i-1]
     wk.wbar[m] = wk.wbar[m + n]
@@ -411,5 +416,5 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
 
     # transpose of the characteristic transform w+ = v + a u, w- = v - a u
     out_u = wp_bar - wm_bar
-    out_u *= a
+    out_u *= wk.a
     return _pair(out_u, wm_bar + wp_bar)

@@ -12,7 +12,7 @@ from relaxopt.optimize import (ControlProblem, fd_gradient, reduced_cost,
                                steepest_descent, _frozen_speed_problem)
 from relaxopt import adjoint as adjoint_module, tableau as tableau_module
 from relaxopt.spatial import SpatialOp
-from relaxopt.tableau import ImexTableau, ZeroWeightError, builtin_tableau
+from relaxopt.tableau import ImexTableau, ZeroWeightError, builtin_names, builtin_tableau
 
 from oracles import zeta_gradient
 
@@ -209,6 +209,38 @@ def test_sweep_record_keeps_costates_only(form, scheme):
                  float(traj.dts[n]))
     assert np.array_equal(p.u, rec.costates[0].u)
     assert np.array_equal(p.v, rec.costates[0].v)
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+@pytest.mark.parametrize("name", builtin_names())
+def test_sweep_scales_its_plan_once_per_step_size_as_bare_steps_do(monkeypatch, name, scheme):
+    # the sweep scales the adjoint plan once per step size, h and the
+    # shortened last step, and a bare stepper once per call; both give the
+    # same bits on every registered pair, in both forms
+    eps = 1.0 if name == "bpr-343" else 1e-6
+    prob, u0 = _tracking_setup(n=24, tableau=name, eps=eps)
+    prob = dataclasses.replace(prob, scheme=scheme)
+    tab = prob.resolve_tableau()
+    traj = solve_forward(prob, tab, u0)
+    assert traj.dts[-1] < traj.h
+    built, scaled_plan = [0], adjoint_module._scaled_plan
+
+    def counted(*args):
+        built[0] += 1
+        return scaled_plan(*args)
+    monkeypatch.setattr(adjoint_module, "_scaled_plan", counted)
+    for form in adjoint_module.FORMS:
+        built[0] = 0
+        rec = solve_adjoint(traj, prob.u_d, form=form)
+        assert built == [2], form
+        step = {"ark": adjoint_step_ark, "xi": adjoint_step_xi}[rec.form_used]
+        p = terminal_costate(traj.steps[-1].u, prob.u_d, traj.grid.dx)
+        for n in reversed(range(traj.n_steps)):
+            p = step(tab, traj.op, prob.model, traj.epsilon, traj.stages[n], p,
+                     float(traj.dts[n]))
+        assert built == [2 + traj.n_steps], form
+        assert np.array_equal(p.u, rec.costates[0].u), form
+        assert np.array_equal(p.v, rec.costates[0].v), form
 
 
 def test_zero_weight_tableau_falls_back_to_xi():

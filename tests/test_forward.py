@@ -270,18 +270,35 @@ def _chain(tab, op, model, eps, u0, dts):
     return ys, stages
 
 
+def _count_scaled_plans(monkeypatch, module):
+    """Count calls of module._scaled_plan from now on; returns the one-entry count list."""
+    built, scaled_plan = [0], module._scaled_plan
+
+    def counted(*args):
+        built[0] += 1
+        return scaled_plan(*args)
+    monkeypatch.setattr(module, "_scaled_plan", counted)
+    return built
+
+
 @pytest.mark.parametrize("name, scheme", _RECORD_CASES)
-def test_full_record_replays_bitwise(name, scheme):
+def test_full_record_replays_bitwise(monkeypatch, name, scheme):
     # a stage combination that wrote into an array it shares with a stored
     # stage would change the record after the fact; a stored stage keeps its
-    # v only where the transport transpose reads it (muscl2)
+    # v only where the transport transpose reads it (muscl2).  The solve
+    # scales the step plan once per step size, the bare steps once per call,
+    # and both give the same bits, the shortened last step included
     eps = 1.0 if name == "bpr-343" else 1e-6
     g, model, u0, cfg = _setup(n=24, eps=eps)
     prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
     tab = builtin_tableau(name)
+    built = _count_scaled_plans(monkeypatch, forward)
     traj = solve_forward(prob, tab, u0, store_stages=True)
+    assert traj.dts[-1] < traj.h
+    assert built == [2]
     assert traj.op.linear == (scheme == "upwind1")
     ys, chained = _chain(tab, traj.op, model, eps, u0, traj.dts)
+    assert built == [2 + traj.n_steps]
     assert len(traj.steps) == 1
     assert np.array_equal(traj.steps[0].u, ys[-1].u)
     assert np.array_equal(traj.steps[0].v, ys[-1].v)
@@ -295,6 +312,20 @@ def test_full_record_replays_bitwise(name, scheme):
                 assert k.v is None
             else:
                 assert np.array_equal(st.v, k.v)
+
+
+@pytest.mark.parametrize("t_final, dt", [(0.25, 0.0625), (0.25, 0.07), (0.25, None)])
+def test_a_solve_scales_the_plan_once_per_step_size(monkeypatch, t_final, dt):
+    g, model, u0, cfg = _setup(n=24)
+    prob = Problem(g, model, cfg, t_final=t_final)
+    built = _count_scaled_plans(monkeypatch, forward)
+    for store_stages in (True, False):
+        built[0] = 0
+        traj = solve_forward(prob, builtin_tableau("ars-222"), u0, store_stages=store_stages,
+                             dt=dt)
+        assert traj.n_steps >= 4
+        assert built == [len(set(traj.dts.tolist()))]
+        assert built[0] == (1 if dt == 0.0625 else 2)
 
 
 def test_stored_linear_record_keeps_no_stage_v():

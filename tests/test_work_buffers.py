@@ -79,12 +79,43 @@ def test_earlier_results_survive_later_calls_on_the_same_op(scheme):
 
 
 def test_ops_share_no_buffer():
+    # the op's 0-d constants are among its buffers, so no two ops share one either
     g = make_grid(0.0, 1.0, N)
     op = SpatialOp(g, 1.5)
     others = [SpatialOp(g, 1.5), SpatialOp(make_grid(0.0, 1.0, N), 1.5),
-              dataclasses.replace(op), dataclasses.replace(op, scheme="muscl2")]
+              dataclasses.replace(op), dataclasses.replace(op, scheme="muscl2"),
+              dataclasses.replace(op, a=3.0), dataclasses.replace(op, grid=make_grid(0.0, 2.0, N))]
     for other in others:
         assert not any(np.shares_memory(x, y) for x in _buffers(op) for y in _buffers(other))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_op_constants_are_read_only_scalars_of_its_inputs(scheme):
+    op = SpatialOp(make_grid(0.0, 2.0 * np.pi, N), 1.5, scheme)
+    assert type(op.a) is float
+    wk = op.work
+    for name, value in (("a", 1.5), ("two_a", 3.0), ("a_sq", 2.25), ("dx", op.grid.dx)):
+        const = getattr(wk, name)
+        assert const.shape == () and const.dtype == np.float64 and const == value, name
+        assert not const.flags.writeable, name
+        with pytest.raises(ValueError):
+            const[...] = 0.0
+        assert const == value, name
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_replaced_op_computes_what_a_fresh_op_does(scheme):
+    # dataclasses.replace makes the op's constants from its new inputs
+    g, other = make_grid(0.0, 2.0 * np.pi, N), make_grid(0.0, 1.0, N)
+    op = SpatialOp(g, 2.0, scheme)
+    before = _outputs(op, np.random.default_rng(3))
+    for changed, fresh in ((dataclasses.replace(op, a=3.0), SpatialOp(g, 3.0, scheme)),
+                           (dataclasses.replace(op, grid=other), SpatialOp(other, 2.0, scheme))):
+        got = _outputs(changed, np.random.default_rng(3))
+        want = _outputs(fresh, np.random.default_rng(3))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # the three stencils' outputs come first; a step's stage 0 is its input
+        assert not any(np.array_equal(x, y) for x, y in zip(got[:6], before))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
