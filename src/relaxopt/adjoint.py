@@ -7,14 +7,16 @@ adjoint is the transpose of the same 2x2 relaxation system.
 solve_adjoint is the one sweep.  Its steps transpose the linearized forward
 step exactly, so the assembled gradient is the exact gradient of the
 discrete objective.  Every step runs one function, _adjoint_step, through
-one of two coefficient plans built once with the pair (tableau._adjoint_plan):
+a coefficient plan of one of two forms, built here from the pair's arrays
+(_scaled_plan):
 
-* ark: stage-costate form (Hager's transformed adjoint), plan
-  AdjointCoeffs.plan; needs every tableau weight nonzero (default path).
-* xi: scaled-variable form, plan ImexTableau.xi_plan; never divides by a
+* ark: stage-costate form (Hager's transformed adjoint), from
+  ImexTableau.adjoint_coeffs; needs every tableau weight nonzero (default
+  path).
+* xi: scaled-variable form, from the pair's entries; never divides by a
   weight (automatic fallback when ImexTableau.adjoint_coeffs is None).
 
-adjoint_step_ark and adjoint_step_xi name the two plans and take the same
+adjoint_step_ark and adjoint_step_xi name the two forms and take the same
 arguments, so solve_adjoint picks one before its loop.  The increment
 (zeta) form is a third, algebraically equal recursion; it is kept in
 tests/oracles.py as the oracle both forms are checked against.
@@ -33,17 +35,17 @@ stage costate, so no step computes the p part.  A step calls
 apply_dx_transpose on its own sums and returns its own sums, both wrapped
 as RelaxStates without re-validation (core._pair).
 
-A plan holds the nonzero coefficients as Python floats.  A step walks it
-scaled for its step size (_scaled_plan): the products -h*c, the stage
-solve's 1 + h*a_ii/eps, the starts that are not 1.0 and eps itself, as
-read-only 0-d arrays, which numpy takes as they are, where a Python float
-operand is converted on every call.  The sweep builds one scaled plan per
-distinct step size, at most two (h and the shortened last step), and a bare
-stepper call builds its own; so a step indexes no tableau array, forms no
-coefficient and builds no term lists.  Each combination is one loop over
-its plan row, with no Python call per term: as in imex_step, the first term
-allocates the result as x * c and adds the base, and every later term is
-formed in the op's scratch array (SpatialOp.work.tmp) and added in place.
+A plan holds the nonzero coefficients scaled for one step size: the
+products -h*c, the stage solve's 1 + h*a_ii/eps, the starts that are not
+1.0 and eps itself, as read-only 0-d arrays, which numpy takes as they are,
+where a Python float operand is converted on every call.  The sweep builds
+one plan per distinct step size, at most two (h and the shortened last
+step), and a bare stepper call builds its own; so a step indexes no tableau
+array, forms no coefficient and builds no term lists.  Each combination is
+one loop over its plan row, with no Python call per term: as in imex_step,
+the first term allocates the result as x * c and adds the base, and every
+later term is formed in the op's scratch array (SpatialOp.work.tmp) and
+added in place.
 The step stores the source's second component as q / eps and puts its sign
 on the coefficients.  Through the ark plan it is bit-identical to the
 array-indexing version kept in tests/oracles.py.
@@ -102,33 +104,61 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> RelaxState:
     return _pair(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
-def _scaled_plan(plan: tuple, tab: ImexTableau, eps: float, h: float) -> tuple:
-    """An adjoint step plan (tableau._adjoint_plan) scaled for one step size h.
+def _scaled_plan(form: str, tab: ImexTableau, eps: float, h: float) -> tuple:
+    """The coefficients of one adjoint step of size h in `form`, in the order it uses them.
 
     Returns (eps, rows), eps being the divisor of the source costates.
     Every constant is a read-only 0-d array (core._const), the double
-    _adjoint_step would otherwise form from Python floats on every call, so
-    results are bit-identical.  A row is (i, start_t, start_q,
-    coupled, trans, src, solve): a start is None where it is 1.0; coupled
-    holds (j, -h*cf_t, (h*cf_s, -(h*cf_s))) with None for a zero entry;
-    trans and src hold (j, -(h*cf)); solve is 1.0 + h*a_impl[i, i]/eps, or
-    None on the update row.
+    _adjoint_step would otherwise form from Python floats on every call.
+    Stage rows come for i = s-1 down to 0, as (i, start_t, start_q, coupled,
+    trans, src, solve): the stage's accumulator starts at start_t times the
+    next costate and the q part of its source costate at start_q times its
+    q, a start being None where it is 1.0.  coupled holds (j, -h*cf_t,
+    (h*cf_s, -(h*cf_s))) for each j > i where either coefficient is nonzero,
+    with None for a zero one (-0.0 too); trans holds (j, -(h*cf)) for each
+    nonzero cf with j >= i, src the same for j > i, and solve is
+    1.0 + h*a_impl[i, i]/eps.  The update row (None, None, None, weights,
+    (), (), None) follows, weights in the format of coupled.
+
+    "ark" reads tab.adjoint_coeffs: coupled w_tilde[j] - alpha_tilde[i, j]
+    and w[j] - alpha[i, j], trans w_tilde[j] - beta_tilde[i, j], src
+    w[j] - beta[i, j], starts 1.0 and the pair's weights.  "xi" reads the
+    entries, for any weights: coupled a_tilde[j, i] twice, trans and src
+    a_impl[j, i], starts w_tilde[i] and w[i], and weights 1.0.
     """
+    s, ones = tab.s, [1.0] * tab.s
+    if form == "ark":
+        cf = tab.adjoint_coeffs
+        wt, w = tab.w_tilde, tab.w
+        start_t = start_q = ones
+        coupled_t, coupled_s = (wt - cf.alpha_tilde).tolist(), (w - cf.alpha).tolist()
+        trans, src = (wt - cf.beta_tilde).tolist(), (w - cf.beta).tolist()
+        weights = wt.tolist(), w.tolist()
+    else:
+        start_t, start_q = tab.w_tilde.tolist(), tab.w.tolist()
+        coupled_t = coupled_s = tab.a_tilde.T.tolist()
+        trans = src = tab.a_impl.T.tolist()
+        weights = ones, ones
+    diag = tab.a_impl.diagonal().tolist()
+
     def start(c):
         return None if c == 1.0 else _const(c)
 
-    def negated(terms):
-        return tuple((j, _const(-(h * cf))) for j, cf in terms)
+    def coupled(first, cf_t, cf_s):
+        return tuple((j, _const(-h * ct) if ct else None,
+                      (_const(h * cs), _const(-(h * cs))) if cs else None)
+                     for j, ct, cs in zip(range(first, s), cf_t[first:], cf_s[first:])
+                     if ct or cs)
+
+    def negated(first, cf):
+        return tuple((j, _const(-(h * c))) for j, c in zip(range(first, s), cf[first:]) if c)
 
     rows = tuple(
-        (i, start(start_t), start(start_q),
-         tuple((j, _const(-h * cf_t) if cf_t else None,
-                (_const(h * cf_s), _const(-(h * cf_s))) if cf_s else None)
-               for j, cf_t, cf_s in coupled),
-         negated(trans_terms), negated(src_terms),
-         None if i is None else _const(1.0 + h * tab.plan.stages[i][1] / eps))
-        for i, start_t, start_q, coupled, trans_terms, src_terms in plan)
-    return _const(eps), rows
+        (i, start(start_t[i]), start(start_q[i]),
+         coupled(i + 1, coupled_t[i], coupled_s[i]), negated(i, trans[i]),
+         negated(i + 1, src[i]), _const(1.0 + h * diag[i] / eps))
+        for i in reversed(range(s)))
+    return _const(eps), rows + ((None, None, None, coupled(0, *weights), (), (), None),)
 
 
 def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel,
@@ -205,33 +235,32 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
 def adjoint_step_ark(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
                      stages: List[Stage], p_next: RelaxState, h: float, *,
                      plan: Optional[tuple] = None) -> RelaxState:
-    """One backward step in stage-costate form, through tab.adjoint_coeffs.plan; returns p_n.
+    """One backward step in stage-costate form, through tab.adjoint_coeffs; returns p_n.
 
     Needs every weight nonzero; on a pair with a zero weight (adjoint_coeffs
     is None) it raises the ZeroWeightError that names the weight.  A bare
-    call scales the plan for h; solve_adjoint passes it as `plan`, which
-    must be _scaled_plan(tab.adjoint_coeffs.plan, tab, eps, h).
+    call builds the plan for h; solve_adjoint passes it as `plan`, which
+    must be _scaled_plan("ark", tab, eps, h).
     """
-    coeffs = tab.adjoint_coeffs
-    if coeffs is None:
+    if tab.adjoint_coeffs is None:
         adjoint_coeffs(tab)   # raises ZeroWeightError naming the zero weight
     if plan is None:
-        plan = _scaled_plan(coeffs.plan, tab, eps, h)
+        plan = _scaled_plan("ark", tab, eps, h)
     return _adjoint_step(plan, tab, op, model, stages, p_next)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
                     stages: List[Stage], p_next: RelaxState, h: float, *,
                     plan: Optional[tuple] = None) -> RelaxState:
-    """One backward step in scaled-variable form, through tab.xi_plan; returns p_n.
+    """One backward step in scaled-variable form, through the pair's entries; returns p_n.
 
     Defined for any weights.  When all weights are nonzero, stage row i
     forms w_tilde[i] times the ark form's tilde stage costate and w[i] times
     the q part of its stage costate.  `plan` is as for adjoint_step_ark,
-    scaled from tab.xi_plan.
+    built as _scaled_plan("xi", tab, eps, h).
     """
     if plan is None:
-        plan = _scaled_plan(tab.xi_plan, tab, eps, h)
+        plan = _scaled_plan("xi", tab, eps, h)
     return _adjoint_step(plan, tab, op, model, stages, p_next)
 
 
@@ -252,15 +281,12 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
 
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     form_used = "ark" if form == "ark" and tab.adjoint_coeffs is not None else "xi"
-    if form_used == "ark":
-        step, plan = adjoint_step_ark, tab.adjoint_coeffs.plan
-    else:
-        step, plan = adjoint_step_xi, tab.xi_plan
+    step = adjoint_step_ark if form_used == "ark" else adjoint_step_xi
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
     scaled = scaled_h = None
     for h, stages in zip(reversed(traj.dts.tolist()), reversed(traj.stages)):
         if h != scaled_h:
-            scaled, scaled_h = _scaled_plan(plan, tab, eps, h), h
+            scaled, scaled_h = _scaled_plan(form_used, tab, eps, h), h
         p = step(tab, op, model, eps, stages, p, h, plan=scaled)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)

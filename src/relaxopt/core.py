@@ -95,7 +95,7 @@ def _const(x: float) -> np.ndarray:
     than the arithmetic on a few hundred cells; a 0-d array is used as it
     is.  Both hold the same double, so results are bit-identical.
     """
-    c = np.full((), x)
+    c = np.array(x)
     c.flags.writeable = False
     return c
 
@@ -163,7 +163,7 @@ A_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class RelaxConfig:
-    """Relaxation parameters: rate epsilon and an optional fixed speed.
+    """Relaxation parameters: rate epsilon and an optional fixed speed, both positive and finite.
 
     When ``a`` is None the speed is recomputed from the current control at the
     start of each forward solve via subchar_speed; setting ``a`` freezes it
@@ -175,10 +175,10 @@ class RelaxConfig:
     a: Optional[float] = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.a is not None and not self.a > 0:
-            raise ValueError(f"fixed speed a must be positive, got {self.a}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.a is not None and not 0 < self.a < np.inf:
+            raise ValueError(f"fixed speed a must be positive and finite, got {self.a}")
 
 
 def subchar_speed(model: FluxModel, u_field: np.ndarray, cfg: RelaxConfig) -> float:

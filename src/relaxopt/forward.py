@@ -12,14 +12,13 @@ is a test oracle (tests/oracles.py), not library code.  _march is the one
 step loop: solve_forward keeps what the adjoint reads from it, and
 export_trajectory writes its frames as they are reached.
 
-A step reads its coefficients from the tableau's step plan (ImexTableau.plan),
-built once with the pair: the nonzero entries as Python floats, so a step
-neither slices the coefficient arrays nor compares numpy scalars with zero.
-A step multiplies by that plan scaled for its step size (_scaled_plan): the
-products -h*ct, h*ci, eps + h*a_ii and h*a_ii as read-only 0-d arrays,
-which numpy takes as they are, where a Python float operand is converted
-on every call.  A solve builds one scaled plan per distinct step size, at
-most two.  Each combination of a stage or of the update is one loop over
+A step reads its coefficients from a plan built from the pair's arrays for
+its step size (_scaled_plan): the products -h*ct, h*ci, eps + h*a_ii and
+h*a_ii of the nonzero entries, as read-only 0-d arrays, which numpy takes
+as they are, where a Python float operand is converted on every call.  So
+a step neither slices the coefficient arrays nor compares numpy scalars
+with zero.  A solve builds one scaled plan per distinct step size, at most
+two.  Each combination of a stage or of the update is one loop over
 its plan row, with no Python call per term: the first term allocates the
 result as x * c and adds the base to it, which IEEE arithmetic rounds
 exactly as base + c * x, and every later term is formed in the op's scratch
@@ -121,19 +120,23 @@ class Trajectory:
 
 
 def _scaled_plan(tab: ImexTableau, eps: float, h: float) -> tuple:
-    """tab.plan scaled for one step size h, as read-only 0-d arrays (core._const).
+    """The coefficients of one step of size h, as read-only 0-d arrays (core._const).
 
     One row per stage, (terms, eps + h*a_ii, h*a_ii), then the update row
-    (terms, None, None).  terms holds (j, -h*ct, h*ci) for each (j, ct, ci)
-    of the plan row, with None for a zero entry.  Each constant is the
-    double the step would otherwise form from Python floats on every call.
+    (terms, None, None).  Stage row i's terms hold (j, -h*a_tilde[i, j],
+    h*a_impl[i, j]) for each j < i where either entry is nonzero, in order of
+    j, and the update row's (j, -h*w_tilde[j], h*w[j]) for each j where
+    either weight is nonzero; a zero entry (-0.0 too) gives None.  Each
+    constant is the double the step would otherwise form from Python floats
+    on every call.
     """
-    def row(terms):
+    def row(ct_row, ci_row):
         return tuple((j, _const(-h * ct) if ct else None, _const(h * ci) if ci else None)
-                     for j, ct, ci in terms)
-    stages = tuple((row(terms), _const(eps + h * diag), _const(h * diag))
-                   for terms, diag in tab.plan.stages)
-    return stages + ((row(tab.plan.weights), None, None),)
+                     for j, (ct, ci) in enumerate(zip(ct_row, ci_row)) if ct or ci)
+    at, ai = tab.a_tilde.tolist(), tab.a_impl.tolist()
+    stages = tuple((row(at[i][:i], ai[i][:i]), _const(eps + h * ai[i][i]), _const(h * ai[i][i]))
+                   for i in range(tab.s))
+    return stages + ((row(tab.w_tilde.tolist(), tab.w.tolist()), None, None),)
 
 
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
@@ -148,7 +151,7 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     by 1/eps, so local-equilibrium states (v = f(u) constant) are exact fixed
     points.  The step update applies the explicit weights to the transport
     increments and the implicit weights to the source values.  The
-    coefficients come from tab.plan, scaled by h once (_scaled_plan), so
+    coefficients come from the pair's plan scaled by h (_scaled_plan), so
     zero entries cost nothing and no product takes a Python float.  A bare
     call builds that plan; _march passes one per distinct step size as
     `plan`, which must be _scaled_plan(tab, eps, h).
@@ -257,8 +260,8 @@ def _initial_record(problem, tab: ImexTableau, u0: np.ndarray,
     a = relax.a if relax.a is not None else subchar_speed(model, u0, relax)
     op = SpatialOp(grid, a, problem.scheme)
     if dt is not None:
-        if not dt > 0:
-            raise ValueError(f"dt override must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt override must be positive and finite, got {dt}")
         h = float(dt)
     else:
         h = float(problem.c_cfl) * grid.dx / a
@@ -267,7 +270,7 @@ def _initial_record(problem, tab: ImexTableau, u0: np.ndarray,
 
     dts = _plan_steps(t_final, h)
     times = np.concatenate([[0.0], np.cumsum(dts)]) if len(dts) else np.zeros(1)
-    if abs(times[-1] - t_final) > 1e-12 * max(1.0, t_final):
+    if not abs(times[-1] - t_final) <= 1e-12 * max(1.0, t_final):
         raise AssertionError("step planning failed to land on t_final")
     return Trajectory(times=times, steps=[relax_init(u0, model)], stages=[], h=h,
                       epsilon=relax.epsilon, dts=dts, tab=tab, op=op, model=model)
@@ -331,13 +334,17 @@ def export_trajectory(problem, tab: ImexTableau, u0: np.ndarray, path: str,
     """Solve as solve_forward does and write the solution as CSV rows (t, x, u, v).
 
     One row per cell per saved frame: every stride-th step state from time 0,
-    and the final one always.  `header` is an optional provenance comment
-    emitted as a leading '# ' line.  The rows stream through write_csv as the
+    and the final one always; stride must be integral (8, 8.0 and
+    np.int64(8) all give 8) and at least 1.  `header` is an optional
+    provenance comment emitted as a leading '# ' line.  The rows stream through write_csv as the
     solve reaches each frame, so memory does not grow with the number of
     steps or frames, and `path` is replaced only when the solve completes: a
     solve that raises (such as DivergenceError) leaves it as it was.
     Returns the final-only Trajectory (steps == [y_T], stages == []).
     """
+    if not float(stride).is_integer():
+        raise ValueError(f"stride must be an integer, got {stride}")
+    stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     traj = _initial_record(problem, tab, u0, None)

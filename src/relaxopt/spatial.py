@@ -181,6 +181,10 @@ class _LimitedWork(_Work):
 class SpatialOp:
     """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod).
 
+    The other fields are derived from these and are not constructor
+    arguments.  `linear` says whether apply_dx is linear in the state
+    (upwind1): its transpose and linearization then read no base state,
+    while muscl2's limiter branches depend on the state, so they need one.
     `work` holds the operator's work buffers (_Work, or _LimitedWork under
     muscl2), made with it; an op must not be shared between threads (see the
     module docstring).
@@ -189,6 +193,7 @@ class SpatialOp:
     grid: Grid
     a: float
     scheme: str = "upwind1"
+    linear: bool = field(init=False, repr=False, compare=False)
     work: _Work = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -196,17 +201,9 @@ class SpatialOp:
             raise ValueError(f"unknown scheme '{self.scheme}'; available: {', '.join(SCHEMES)}")
         if not self.a > 0:
             raise ValueError(f"speed a must be positive, got {self.a}")
+        object.__setattr__(self, "linear", self.scheme == "upwind1")
         work = _Work if self.linear else _LimitedWork
         object.__setattr__(self, "work", work(self.grid.n_cells, self.a, self.grid.dx))
-
-    @property
-    def linear(self) -> bool:
-        """Whether apply_dx is linear in the state (upwind1).
-
-        Its transpose and linearization then read no base state; muscl2's
-        limiter branches depend on the state, so they need one.
-        """
-        return self.scheme == "upwind1"
 
 
 def _branches(lim: _Limiter):

@@ -193,9 +193,10 @@ def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
     0.5 + sin(x).  The relaxation speed is computed from that generating
     profile unless the template fixes one, and the returned problem keeps it,
     so target generation and every later solve share one speed and minimize
-    a single well-defined discrete objective.
+    a single well-defined discrete objective.  n_cells must be integral, as
+    for Grid (100, 100.0 and np.int64(100) all give 100).
     """
-    grid = make_grid(template.grid.x_min, template.grid.x_max, int(n_cells))
+    grid = make_grid(template.grid.x_min, template.grid.x_max, n_cells)
     target_src = _default_u0(grid.centers)
     probe = _frozen_speed_problem(
         dataclasses.replace(template, grid=grid, u_d=np.zeros(grid.n_cells)), target_src)
@@ -226,7 +227,7 @@ def tracking_table(template: ControlProblem, grid_sizes: Sequence[int],
         u0_start = np.full(problem.grid.n_cells, 0.5)
         _, rep = steepest_descent(problem, u0_start, alpha=alpha, tol=tol,
                                   max_iter=max_iter)
-        rows.append(TrackingTableRow(n_cells=int(n), iterations=rep.iterations,
+        rows.append(TrackingTableRow(n_cells=problem.grid.n_cells, iterations=rep.iterations,
                                      wall_time_s=rep.wall_time,
                                      final_cost=rep.final_cost,
                                      converged=rep.converged,

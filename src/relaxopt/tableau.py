@@ -2,18 +2,18 @@
 
 A tableau pair combines an explicit method (strictly lower triangular matrix,
 used for the transport term) with a diagonally implicit method (lower
-triangular, used for the stiff source).  The adjoint time step walks one of
-two coefficient plans built with the pair: the ark plan from the derived
-coefficient matrices, which need every weight nonzero, or the xi plan from
-the entries themselves.  Whether the coupled forward/adjoint system retains
-third order depends on extra algebraic conditions that `check_order`
-evaluates alongside the standard ones.
+triangular, used for the stiff source).  The adjoint time step reads either
+the derived coefficient matrices (the ark form), which need every weight
+nonzero, or the entries themselves (the xi form); the steppers build their
+own coefficient plans from these arrays.  Whether the coupled forward/adjoint
+system retains third order depends on extra algebraic conditions that
+`check_order` evaluates alongside the standard ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,30 +41,6 @@ class TableauParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-class StepPlan(NamedTuple):
-    """The nonzero coefficients of a forward step, as Python floats in stage order.
-
-    stages[i] is (terms, a_impl[i, i]) with terms the (j, a_tilde[i, j],
-    a_impl[i, j]) for j < i where either entry is nonzero; weights holds the
-    (j, w_tilde[j], w[j]) where either weight is nonzero.  A tuple keeps a zero
-    entry when its partner is nonzero; the stepper skips it.
-    """
-
-    stages: Tuple[Tuple[Tuple[Tuple[int, float, float], ...], float], ...]
-    weights: Tuple[Tuple[int, float, float], ...]
-
-
-def _pairs(js, first, second):
-    """(j, first[j], second[j]) as Python floats for each j where either entry is nonzero."""
-    return tuple((j, float(first[j]), float(second[j])) for j in js
-                 if first[j] != 0.0 or second[j] != 0.0)
-
-
-def _nonzero(js, values):
-    """(j, values[j]) as Python floats for each j where the value is nonzero."""
-    return tuple((j, float(values[j])) for j in js if values[j] != 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class ImexTableau:
     """Explicit/implicit Butcher pair sharing one stage count.
@@ -74,16 +50,10 @@ class ImexTableau:
     lower triangular with diagonal allowed (diagonally implicit).  The other
     fields are derived from the entries when the pair is built and are not
     constructor arguments: the stage count `s` = len(w_tilde), the abscissae
-    `c_tilde` and `c`, the row sums of the respective matrices, and `plan`,
-    `xi_plan` and `adjoint_coeffs`.
-    `plan` is the step plan imex_step iterates, so a step never indexes or
-    compares the coefficient arrays.  `xi_plan` is the adjoint step plan (see
-    _adjoint_plan) of the xi form, defined for any weights: the xi recursion
-    divided by h, whose stage variables are the ark form's scaled by the
-    weights.
-    `adjoint_coeffs` is adjoint_coeffs(pair), whose plan is the ark form's, or
-    None when a weight is zero and its matrices are undefined; solve_adjoint
-    then runs the xi plan.
+    `c_tilde` and `c`, the row sums of the respective matrices, and
+    `adjoint_coeffs`, which is adjoint_coeffs(pair), or None when a weight is
+    zero and its matrices are undefined; solve_adjoint then runs the xi
+    form, which reads the entries themselves.
     A pair compares and hashes by identity, since its fields are arrays.
     """
 
@@ -95,8 +65,6 @@ class ImexTableau:
     s: int = field(init=False)
     c_tilde: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
-    plan: StepPlan = field(init=False, repr=False)
-    xi_plan: tuple = field(init=False, repr=False)
     adjoint_coeffs: Optional[AdjointCoeffs] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -117,12 +85,6 @@ class ImexTableau:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "c_tilde", at.sum(axis=1))
         object.__setattr__(self, "c", ai.sum(axis=1))
-        plan = StepPlan(
-            stages=tuple((_pairs(range(i), at[i], ai[i]), float(ai[i, i])) for i in range(s)),
-            weights=_pairs(range(s), self.w_tilde, self.w))
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "xi_plan", _adjoint_plan(
-            self.w_tilde, self.w, at.T, at.T, ai.T, ai.T, tuple((j, 1.0, 1.0) for j in range(s))))
         try:
             coeffs = adjoint_coeffs(self)
         except ZeroWeightError:
@@ -141,15 +103,8 @@ class AdjointCoeffs:
 
     gamma/gamma_tilde are the row sums of alpha/alpha_tilde, derived in
     __post_init__ and not constructor arguments; they enter the third-order
-    branch conditions.
-
-    `plan` is the ark form's adjoint step plan (see _adjoint_plan), derived
-    from the matrices.  Its coupled coefficients are w_tilde[j] -
-    alpha_tilde[i, j] and w[j] - alpha[i, j], its transport and source ones
-    w_tilde[j] - beta_tilde[i, j] and w[j] - beta[i, j], and its stage rows
-    start at 1.0.  The weights of its update row are the diagonals,
-    alpha_tilde[j, j] = w_tilde[j] and alpha[j, j] = w[j] exactly, because
-    a_tilde[j, j] = 0.
+    branch conditions.  The ark form of the adjoint step reads the matrices
+    (adjoint._scaled_plan).
     The coefficients compare and hash by identity, since their fields are
     arrays.
     """
@@ -160,36 +115,10 @@ class AdjointCoeffs:
     beta: np.ndarray
     gamma: np.ndarray = field(init=False)
     gamma_tilde: np.ndarray = field(init=False)
-    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", self.alpha.sum(axis=1))
         object.__setattr__(self, "gamma_tilde", self.alpha_tilde.sum(axis=1))
-        wt, w = np.diag(self.alpha_tilde), np.diag(self.alpha)
-        ones = np.ones(len(wt))
-        object.__setattr__(self, "plan", _adjoint_plan(
-            ones, ones, wt - self.alpha_tilde, w - self.alpha, wt - self.beta_tilde,
-            w - self.beta, _pairs(range(len(wt)), wt, w)))
-
-
-def _adjoint_plan(start_t, start_q, coupled_t, coupled_s, trans, src, weights) -> tuple:
-    """The coefficients of one adjoint step, as Python floats, in the order it uses them.
-
-    One row per stage, i = s-1 down to 0, then the update row.  Stage row i
-    is (i, start_t[i], start_q[i], coupled, trans, src): the stage's
-    accumulator starts at start_t[i] times the next costate and the q part
-    of its source costate at start_q[i] times its q; coupled holds
-    (j, coupled_t[i, j], coupled_s[i, j]) for j > i where either entry is
-    nonzero, trans the nonzero (j, trans[i, j]) for j >= i and src the
-    nonzero (j, src[i, j]) for j > i.  The update row is
-    (None, 1.0, 1.0, weights, (), ()), weights in the format of coupled.
-    """
-    s = len(start_t)
-    rows = tuple((i, float(start_t[i]), float(start_q[i]),
-                  _pairs(range(i + 1, s), coupled_t[i], coupled_s[i]),
-                  _nonzero(range(i, s), trans[i]), _nonzero(range(i + 1, s), src[i]))
-                 for i in reversed(range(s)))
-    return rows + ((None, 1.0, 1.0, weights, (), ()),)
 
 
 def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:

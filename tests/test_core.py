@@ -145,3 +145,10 @@ def test_relax_config_validation():
         RelaxConfig(a_floor=0.1)
     with pytest.raises(ValueError):
         RelaxConfig(a=-1.0)
+    # an infinite speed would make the CFL step 0, and an infinite rate drops
+    # the source; both are refused here, with the field named
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            RelaxConfig(epsilon=bad)
+        with pytest.raises(ValueError, match="fixed speed a must be positive and finite"):
+            RelaxConfig(a=bad)

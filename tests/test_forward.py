@@ -568,6 +568,11 @@ def test_solve_forward_validates_inputs():
     with pytest.raises(ValueError):
         solve_forward(Problem(g, model, cfg, t_final=0.1),
                       builtin_tableau("imex-euler"), u0[:-1])
+    # an infinite step would plan nan step sizes; it is named as the override
+    for dt in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt override must be positive and finite"):
+            solve_forward(Problem(g, model, cfg, t_final=0.1),
+                          builtin_tableau("imex-euler"), u0, dt=dt)
 
 
 def test_spatial_self_convergence_through_solver():
@@ -637,6 +642,24 @@ def test_export_trajectory_schema_and_stride(tmp_path):
             assert path.read_bytes() == again.read_bytes()
     # no temporary file is left beside the outputs
     assert len(list(tmp_path.iterdir())) == 1 + 2 * 3
+
+
+def test_export_trajectory_requires_an_integral_stride(tmp_path):
+    # as for Grid's n_cells: 2, 2.0 and np.int64(2) write the same frames
+    g, model, u0, cfg = _setup(n=8)
+    prob = Problem(g, model, cfg, t_final=1.5)
+    tab = builtin_tableau("imex-euler")
+    written = []
+    for k, stride in enumerate((2, 2.0, np.int64(2))):
+        path = tmp_path / f"{k}.csv"
+        export_trajectory(prob, tab, u0, str(path), stride=stride)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
+    for stride, message in ((2.5, "stride must be an integer"), (np.inf, "integer"),
+                            (0, "stride must be >= 1"), (-1.0, ">= 1")):
+        with pytest.raises(ValueError, match=message):
+            export_trajectory(prob, tab, u0, str(tmp_path / "bad.csv"), stride=stride)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_diverging_export_leaves_the_path_as_it_was(tmp_path):

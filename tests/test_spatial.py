@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,19 @@ def test_unknown_scheme_rejected():
         SpatialOp(g, 1.0, scheme="weno5")
     with pytest.raises(ValueError):
         SpatialOp(g, 0.0)
+
+
+def test_linear_is_derived_from_the_scheme():
+    # set once with the op, like its work, and not a constructor argument
+    op = SpatialOp(make_grid(0.0, 1.0, 8), 1.0)
+    assert op.linear is True and type(op.work) is spatial._Work
+    limited = dataclasses.replace(op, scheme="muscl2")
+    assert limited.linear is False and type(limited.work) is spatial._LimitedWork
+    assert "linear" not in repr(op)
+    with pytest.raises(TypeError):
+        SpatialOp(op.grid, 1.0, linear=False)
+    with pytest.raises(ValueError):
+        dataclasses.replace(op, linear=False)
 
 
 def _edge_states(n, rng):

@@ -9,7 +9,8 @@ from relaxopt.forward import solve_forward
 from relaxopt.optimize import ControlProblem, _frozen_speed_problem, fd_gradient
 from relaxopt.studies import (OrderStudyResult, TrackingTableRow, consistency_checks,
                               export_order_study, export_tracking_table, fit_order,
-                              gradient_report, temporal_order_study, tracking_table)
+                              gradient_report, temporal_order_study, tracking_problem,
+                              tracking_table)
 from relaxopt.tableau import builtin_tableau
 
 
@@ -133,6 +134,17 @@ def test_tracking_table_counts_the_updates_that_raised_the_cost():
     template = dataclasses.replace(_template(eps=1e-6, t_final=2.0), scheme="muscl2")
     row, = tracking_table(template, [150], tol=0.065)
     assert (row.converged, row.iterations, row.cost_increases) == (True, 40, 10)
+
+
+def test_tracking_problem_takes_an_integral_grid_size():
+    # a fractional size is refused by Grid rather than truncated, and the
+    # row's size is the grid's
+    template = _template()
+    with pytest.raises(ValueError, match="n_cells must be an integer"):
+        tracking_problem(template, 20.7)
+    assert tracking_problem(template, 100.0).grid.n_cells == 100
+    row, = tracking_table(template, [100.0], max_iter=0)
+    assert type(row.n_cells) is int and row.n_cells == 100
 
 
 def test_tracking_table_rejects_empty_grid_list():

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relaxopt.tableau import (ORDER_TOL, ImexTableau, TableauParseError, ZeroWeightError,
-                              adjoint_coeffs, builtin_names, builtin_tableau,
+from relaxopt import adjoint, forward
+from relaxopt.tableau import (ORDER_TOL, AdjointCoeffs, ImexTableau, TableauParseError,
+                              ZeroWeightError, adjoint_coeffs, builtin_names, builtin_tableau,
                               check_order, load_tableau_file, order_condition_residuals)
 
 from oracles import random_pair
@@ -221,43 +222,78 @@ def _plan_pairs(rng_seed=11, count=30):
     return tabs
 
 
-def _all_floats(*values):
-    return all(type(x) is float for x in values)
+def _values(plan):
+    """A scaled plan with each constant, a read-only 0-d float64 array, as its Python float."""
+    if isinstance(plan, np.ndarray):
+        assert plan.shape == () and plan.dtype == np.float64 and not plan.flags.writeable
+        return float(plan)
+    if isinstance(plan, tuple):
+        return tuple(_values(x) for x in plan)
+    return plan
+
+
+def _forward_plan(tab):
+    """The forward step plan at eps = h = 1, where each term holds -a_tilde and a_impl exactly."""
+    return _values(forward._scaled_plan(tab, 1.0, 1.0))
+
+
+def _adjoint_plan(form, tab):
+    """The adjoint step plan's rows at eps = h = 1, where a term holds -cf, or (cf, -cf)."""
+    eps, rows = _values(adjoint._scaled_plan(form, tab, 1.0, 1.0))
+    assert eps == 1.0
+    return rows
 
 
 def test_step_plan_holds_the_nonzero_entries_in_stage_order():
     for tab in _plan_pairs():
         s = tab.s
-        assert len(tab.plan.stages) == s
+        plan = _forward_plan(tab)
+        assert len(plan) == s + 1
         at, ai = np.zeros((s, s)), np.zeros((s, s))
-        for i, (terms, diag) in enumerate(tab.plan.stages):
+        for i, (terms, denom, diag) in enumerate(plan[:s]):
             assert [j for j, _, _ in terms] == sorted({j for j, _, _ in terms})
-            for j, ct, ci in terms:
-                assert 0 <= j < i and _all_floats(ct, ci) and (ct != 0.0 or ci != 0.0)
-                at[i, j], ai[i, j] = ct, ci
-            assert _all_floats(diag)
+            for j, neg_ct, ci in terms:
+                assert 0 <= j < i and (neg_ct is not None or ci is not None)
+                at[i, j] = 0.0 if neg_ct is None else -neg_ct
+                ai[i, j] = 0.0 if ci is None else ci
+            assert diag == tab.a_impl[i, i] and denom == 1.0 + tab.a_impl[i, i]
             ai[i, i] = diag
         assert np.array_equal(at, tab.a_tilde) and np.array_equal(ai, tab.a_impl), tab
+        terms, denom, diag = plan[s]
+        assert denom is None and diag is None
         wt, w = np.zeros(s), np.zeros(s)
-        assert [j for j, _, _ in tab.plan.weights] == sorted({j for j, _, _ in tab.plan.weights})
-        for j, cwt, cw in tab.plan.weights:
-            assert _all_floats(cwt, cw) and (cwt != 0.0 or cw != 0.0)
-            wt[j], w[j] = cwt, cw
+        assert [j for j, _, _ in terms] == sorted({j for j, _, _ in terms})
+        for j, neg_cwt, cw in terms:
+            assert neg_cwt is not None or cw is not None
+            wt[j] = 0.0 if neg_cwt is None else -neg_cwt
+            w[j] = 0.0 if cw is None else cw
         assert np.array_equal(wt, tab.w_tilde) and np.array_equal(w, tab.w), tab
 
 
 def test_step_plan_skips_negative_zero_entries():
+    # -0.0 counts as zero; a term kept for its partner holds None for its own zero
     tab = ImexTableau("signed-zero", [[0.0, 0.0], [-0.0, 0.0]],
                       [[0.5, 0.0], [-0.0, 0.5]], [-0.0, 1.0], [0.5, 0.5])
-    assert tab.plan.stages[1] == ((), 0.5)
-    assert tab.plan.weights == ((0, -0.0, 0.5), (1, 1.0, 0.5))
+    plan = _forward_plan(tab)
+    assert plan[1] == ((), 1.5, 0.5)
+    assert plan[2] == (((0, None, 0.5), (1, -1.0, 0.5)), None, None)
+    rows = _adjoint_plan("xi", tab)
+    assert [row[3:6] for row in rows[:2]] == [((), ((1, -0.5),), ()), ((), ((0, -0.5),), ())]
 
 
-def _adjoint_plan_floats(plan):
-    """Every coefficient of an adjoint step plan is a Python float."""
-    return all(_all_floats(start_t, start_q, *(c for t in coupled for c in t[1:]),
-                           *(c for t in trans + src for c in t[1:]))
-               for _, start_t, start_q, coupled, trans, src in plan)
+def _coupled(js, first, second):
+    """The coupled terms at h = 1 for the j in js where either coefficient is nonzero."""
+    return tuple((j, -float(first[j]) if first[j] != 0.0 else None,
+                  (float(second[j]), -float(second[j])) if second[j] != 0.0 else None)
+                 for j in js if first[j] != 0.0 or second[j] != 0.0)
+
+
+def _negated(js, values):
+    return tuple((j, -float(values[j])) for j in js if values[j] != 0.0)
+
+
+def _start(c):
+    return None if c == 1.0 else float(c)
 
 
 def test_ark_plan_holds_the_nonzero_coefficient_differences():
@@ -271,17 +307,13 @@ def test_ark_plan_holds_the_nonzero_coefficient_differences():
         s, wt, w = tab.s, tab.w_tilde, tab.w
         want = []
         for i in reversed(range(s)):
-            coupled = tuple((j, float(wt[j] - cf.alpha_tilde[i, j]), float(w[j] - cf.alpha[i, j]))
-                            for j in range(i + 1, s)
-                            if wt[j] - cf.alpha_tilde[i, j] != 0.0 or w[j] - cf.alpha[i, j] != 0.0)
-            trans = tuple((j, float(wt[j] - cf.beta_tilde[i, j])) for j in range(i, s)
-                          if wt[j] - cf.beta_tilde[i, j] != 0.0)
-            src = tuple((j, float(w[j] - cf.beta[i, j])) for j in range(i + 1, s)
-                        if w[j] - cf.beta[i, j] != 0.0)
-            want.append((i, 1.0, 1.0, coupled, trans, src))
-        want.append((None, 1.0, 1.0, tab.plan.weights, (), ()))
-        assert cf.plan == tuple(want), tab
-        assert _adjoint_plan_floats(cf.plan)
+            want.append((i, None, None,
+                         _coupled(range(i + 1, s), wt - cf.alpha_tilde[i], w - cf.alpha[i]),
+                         _negated(range(i, s), wt - cf.beta_tilde[i]),
+                         _negated(range(i + 1, s), w - cf.beta[i]),
+                         1.0 + tab.a_impl[i, i]))
+        want.append((None, None, None, _coupled(range(s), wt, w), (), (), None))
+        assert _adjoint_plan("ark", tab) == tuple(want), tab
     assert checked >= 30
 
 
@@ -292,40 +324,51 @@ def test_xi_plan_holds_the_pair_entries_for_any_weights():
         s, at, ai = tab.s, tab.a_tilde, tab.a_impl
         want = []
         for i in reversed(range(s)):
-            coupled = tuple((j, float(at[j, i]), float(at[j, i]))
-                            for j in range(i + 1, s) if at[j, i] != 0.0)
-            trans = tuple((j, float(ai[j, i])) for j in range(i, s) if ai[j, i] != 0.0)
-            src = tuple((j, float(ai[j, i])) for j in range(i + 1, s) if ai[j, i] != 0.0)
-            want.append((i, float(tab.w_tilde[i]), float(tab.w[i]), coupled, trans, src))
-        want.append((None, 1.0, 1.0, tuple((j, 1.0, 1.0) for j in range(s)), (), ()))
-        assert tab.xi_plan == tuple(want), tab
-        assert _adjoint_plan_floats(tab.xi_plan)
+            want.append((i, _start(tab.w_tilde[i]), _start(tab.w[i]),
+                         _coupled(range(i + 1, s), at[:, i], at[:, i]),
+                         _negated(range(i, s), ai[:, i]), _negated(range(i + 1, s), ai[:, i]),
+                         1.0 + ai[i, i]))
+        want.append((None, None, None, _coupled(range(s), np.ones(s), np.ones(s)), (), (), None))
+        assert _adjoint_plan("xi", tab) == tuple(want), tab
     assert zero_weights >= 20
 
 
 def test_plans_stay_out_of_repr_and_follow_replace():
+    # the pair holds no plan: the steppers build theirs from its arrays, so a
+    # plan follows every replaced entry
     tab = builtin_tableau("ars-222")
+    assert [f.name for f in dataclasses.fields(ImexTableau)] == [
+        "name", "a_tilde", "a_impl", "w_tilde", "w", "s", "c_tilde", "c", "adjoint_coeffs"]
+    assert [f.name for f in dataclasses.fields(AdjointCoeffs)] == [
+        "alpha_tilde", "alpha", "beta_tilde", "beta", "gamma", "gamma_tilde"]
     assert "plan" not in repr(tab)
     assert "plan" not in repr(adjoint_coeffs(tab))
     renamed = dataclasses.replace(tab, name="renamed")
-    assert renamed.plan == tab.plan
+    assert _forward_plan(renamed) == _forward_plan(tab)
+    assert _adjoint_plan("xi", renamed) == _adjoint_plan("xi", tab)
     reweighted = dataclasses.replace(tab, w=np.array([0.25, 0.75]))
-    assert reweighted.plan.weights == ((0, 0.5, 0.25), (1, 0.5, 0.75))
-    assert reweighted.plan.stages == tab.plan.stages
-    assert renamed.xi_plan == tab.xi_plan
-    assert [row[:3] for row in reweighted.xi_plan[:2]] == [(1, 0.5, 0.75), (0, 0.5, 0.25)]
-    assert [row[3:] for row in reweighted.xi_plan] == [row[3:] for row in tab.xi_plan]
-    for derived in ("plan", "xi_plan", "s", "c_tilde", "c"):
+    assert _forward_plan(reweighted)[2] == (((0, -0.5, 0.25), (1, -0.5, 0.75)), None, None)
+    assert _forward_plan(reweighted)[:2] == _forward_plan(tab)[:2]
+    xi, reweighted_xi = _adjoint_plan("xi", tab), _adjoint_plan("xi", reweighted)
+    assert [row[:3] for row in reweighted_xi[:2]] == [(1, 0.5, 0.75), (0, 0.5, 0.25)]
+    assert [row[3:] for row in reweighted_xi] == [row[3:] for row in xi]
+    assert _adjoint_plan("ark", reweighted) == _adjoint_plan(
+        "ark", ImexTableau("want", tab.a_tilde, tab.a_impl, tab.w_tilde, [0.25, 0.75]))
+    assert _adjoint_plan("ark", reweighted) != _adjoint_plan("ark", tab)
+    for derived in ("s", "c_tilde", "c"):
         with pytest.raises(ValueError):
             dataclasses.replace(tab, **{derived: getattr(tab, derived)})
     a_impl = np.array([[0.25, 0.0], [0.5, 0.25]])
     reimplicit = dataclasses.replace(tab, a_impl=a_impl)
     assert np.array_equal(reimplicit.c, np.array([0.25, 0.75]))
     assert np.array_equal(reimplicit.c_tilde, tab.c_tilde)
-    assert reimplicit.plan == ImexTableau("want", tab.a_tilde, a_impl, tab.w_tilde, tab.w).plan
-    assert reimplicit.plan.stages == (((), 0.25), (((0, 1.0, 0.5),), 0.25))
-    assert reimplicit.xi_plan != tab.xi_plan
-    assert reimplicit.adjoint_coeffs.plan != tab.adjoint_coeffs.plan
+    want = ImexTableau("want", tab.a_tilde, a_impl, tab.w_tilde, tab.w)
+    assert _forward_plan(reimplicit) == _forward_plan(want)
+    assert _forward_plan(reimplicit)[:2] == (((), 1.25, 0.25), (((0, -1.0, 0.5),), 1.25, 0.25))
+    assert _adjoint_plan("xi", reimplicit) == _adjoint_plan("xi", want)
+    assert _adjoint_plan("xi", reimplicit) != xi
+    assert _adjoint_plan("ark", reimplicit) == _adjoint_plan("ark", want)
+    assert _adjoint_plan("ark", reimplicit) != _adjoint_plan("ark", tab)
 
 
 def test_pair_keeps_its_adjoint_coeffs():
@@ -342,7 +385,6 @@ def test_pair_keeps_its_adjoint_coeffs():
         got = tab.adjoint_coeffs
         for name in ("alpha_tilde", "alpha", "beta_tilde", "beta", "gamma", "gamma_tilde"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (tab, name)
-        assert got.plan == want.plan
     assert 30 <= with_coeffs < len(_plan_pairs())
     tab = builtin_tableau("ars-222")
     assert "adjoint_coeffs" not in repr(tab)
