@@ -38,14 +38,17 @@ as RelaxStates without re-validation (core._pair).
 A plan holds the nonzero coefficients scaled for one step size: the
 products -h*c, the stage solve's 1 + h*a_ii/eps, the starts that are not
 1.0 and eps itself, as read-only 0-d arrays, which numpy takes as they are,
-where a Python float operand is converted on every call.  The sweep builds
+where a Python float operand is converted on every call.  A sweep looks up
 one plan per distinct step size, at most two (h and the shortened last
-step), and a bare stepper call builds its own; so a step indexes no tableau
-array, forms no coefficient and builds no term lists.  Each combination is
-one loop over its plan row, with no Python call per term: as in imex_step,
-the first term allocates the result as x * c and adds the base, and every
-later term is formed in the op's scratch array (SpatialOp.work.tmp) and
-added in place.
+step), and a bare stepper call asks for its own; _scaled_plan is memoized
+per (form, pair, eps, h) with a fixed-size functools.lru_cache, as the
+forward plan is, so a descent's sweeps after the first build none.  So a
+step indexes no tableau array, forms no coefficient and builds no term
+lists, and its product terms take their output positionally through a name
+bound once (_multiply).  Each combination is one loop over its plan row,
+with no Python call per term: as in imex_step, the first term allocates
+the result as x * c and adds the base, and every later term is formed in
+the op's scratch array (SpatialOp.work.tmp) and added in place.
 The step stores the source's second component as q / eps and puts its sign
 on the coefficients.  Through the ark plan it is bit-identical to the
 array-indexing version kept in tests/oracles.py.
@@ -53,6 +56,7 @@ array-indexing version kept in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Union
 
 import numpy as np
@@ -63,6 +67,10 @@ from .spatial import SpatialOp, apply_dx_transpose
 from .tableau import ImexTableau, adjoint_coeffs
 
 FORMS = ("ark", "xi")
+
+# The step's product terms take their output positionally, through a name
+# bound once (see spatial.py)
+_multiply = np.multiply
 
 # A step's stages, as imex_step returns them or as a full record stores them:
 # the steppers read each stage's u and pass the stage on as the transpose's base.
@@ -104,6 +112,7 @@ def terminal_costate(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> RelaxState:
     return _pair(dx * (u_T - u_d), np.zeros_like(u_T))
 
 
+@lru_cache(maxsize=64)
 def _scaled_plan(form: str, tab: ImexTableau, eps: float, h: float) -> tuple:
     """The coefficients of one adjoint step of size h in `form`, in the order it uses them.
 
@@ -124,7 +133,8 @@ def _scaled_plan(form: str, tab: ImexTableau, eps: float, h: float) -> tuple:
     and w[j] - alpha[i, j], trans w_tilde[j] - beta_tilde[i, j], src
     w[j] - beta[i, j], starts 1.0 and the pair's weights.  "xi" reads the
     entries, for any weights: coupled a_tilde[j, i] twice, trans and src
-    a_impl[j, i], starts w_tilde[i] and w[i], and weights 1.0.
+    a_impl[j, i], starts w_tilde[i] and w[i], and weights 1.0.  Memoized per
+    (form, tab, eps, h), as forward._scaled_plan is.
     """
     s, ones = tab.s, [1.0] * tab.s
     if form == "ark":
@@ -195,9 +205,9 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                     acc_q = t_q * c
                     acc_q += q
                 else:
-                    np.multiply(t_p, c, out=tmp)
+                    _multiply(t_p, c, tmp)
                     acc_p += tmp
-                    np.multiply(t_q, c, out=tmp)
+                    _multiply(t_q, c, tmp)
                     acc_q += tmp
             if cs is not None:
                 c, neg_c = cs
@@ -208,9 +218,9 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                     acc_q = s_q * neg_c
                     acc_q += q
                 else:
-                    np.multiply(s_p, c, out=tmp)
+                    _multiply(s_p, c, tmp)
                     acc_p += tmp
-                    np.multiply(s_q, neg_c, out=tmp)
+                    _multiply(s_q, neg_c, tmp)
                     acc_q += tmp
         if i is None:
             return _pair(acc_p, acc_q)
@@ -224,10 +234,10 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
                     b_q = part[j][1] * c
                     b_q += q
                 else:
-                    np.multiply(part[j][1], c, out=tmp)
+                    _multiply(part[j][1], c, tmp)
                     b_q += tmp
         pq = b_q / solve
-        s_p = np.asarray(model.flux_deriv(stages[i].u), float) * pq
+        s_p = model.flux_deriv(stages[i].u) * pq
         s_p /= eps
         src[i] = (s_p, pq / eps)
 

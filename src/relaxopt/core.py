@@ -25,7 +25,7 @@ class Grid:
     Cell i is centered at x_min + (i + 1/2)*dx, and cell n_cells-1 neighbors
     cell 0.  dx and centers are derived from the three inputs and are not
     constructor arguments; n_cells must be integral (8, 8.0 and np.int64(8)
-    all give the int 8).
+    all give the int 8), and the bounds finite with a positive, finite dx.
     """
 
     x_min: float
@@ -47,6 +47,9 @@ class Grid:
         if not x_max > x_min:
             raise ValueError(f"degenerate interval: x_max={x_max} must exceed x_min={x_min}")
         dx = (x_max - x_min) / n_cells
+        if not 0 < dx < np.inf:
+            raise ValueError(f"grid spacing dx must be positive and finite, got dx={dx} "
+                             f"from x_min={x_min}, x_max={x_max}, n_cells={n_cells}")
         object.__setattr__(self, "n_cells", n_cells)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "centers", x_min + (np.arange(n_cells) + 0.5) * dx)
@@ -59,7 +62,11 @@ def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
 
 @dataclass(frozen=True)
 class FluxModel:
-    """Scalar flux f and its analytic derivative f', both vectorized over cells."""
+    """Scalar flux f and its analytic derivative f', both vectorized over cells.
+
+    Each returns values that numpy promotes to float64 exactly (float64 or a
+    narrower type): the steppers feed them to their arithmetic as they are.
+    """
 
     flux: Callable[[np.ndarray], np.ndarray]
     flux_deriv: Callable[[np.ndarray], np.ndarray]

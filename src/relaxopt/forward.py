@@ -17,12 +17,20 @@ its step size (_scaled_plan): the products -h*ct, h*ci, eps + h*a_ii and
 h*a_ii of the nonzero entries, as read-only 0-d arrays, which numpy takes
 as they are, where a Python float operand is converted on every call.  So
 a step neither slices the coefficient arrays nor compares numpy scalars
-with zero.  A solve builds one scaled plan per distinct step size, at most
-two.  Each combination of a stage or of the update is one loop over
-its plan row, with no Python call per term: the first term allocates the
-result as x * c and adds the base to it, which IEEE arithmetic rounds
-exactly as base + c * x, and every later term is formed in the op's scratch
-array (SpatialOp.work.tmp) and added in place, so a term allocates no
+with zero.  A solve looks up one scaled plan per distinct step size, at
+most two, and _scaled_plan is memoized per (pair, eps, h) with a fixed-size
+functools.lru_cache: a pair keeps read-only copies of its arrays, so the
+plan is a pure function of the three, and its constants are read-only, so
+every solve can share it.  Repeated solves with one pair and step size,
+such as the perturbed solves of fd_gradient or the iterations of a descent,
+build it once.  A product term takes its output array positionally,
+through a name bound once (_multiply), as in spatial.py, and the flux
+values enter their one subtraction as the model returns them.  Each
+combination of a stage or of the update is one loop over its plan row,
+with no Python call per term: the first term allocates the result as
+x * c and adds the base to it, which IEEE arithmetic rounds exactly as
+base + c * x, and every later term is formed in the op's scratch array
+(SpatialOp.work.tmp) and added in place, so a term allocates no
 temporary.  Finite values are checked once per step, on the result, with
 one reduction over both fields, the dot product u.v: any
 non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so only
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import List, Optional
 
@@ -47,6 +56,10 @@ from .core import FluxModel, Grid, RelaxState, _const, _pair, relax_init, subcha
 from .output import write_csv
 from .spatial import SpatialOp, apply_dx
 from .tableau import ImexTableau
+
+# The step's product terms take their output positionally, through a name
+# bound once (see spatial.py)
+_multiply = np.multiply
 
 
 class DivergenceError(RuntimeError):
@@ -119,6 +132,7 @@ class Trajectory:
         return len(self.times) - 1
 
 
+@lru_cache(maxsize=64)
 def _scaled_plan(tab: ImexTableau, eps: float, h: float) -> tuple:
     """The coefficients of one step of size h, as read-only 0-d arrays (core._const).
 
@@ -128,7 +142,8 @@ def _scaled_plan(tab: ImexTableau, eps: float, h: float) -> tuple:
     j, and the update row's (j, -h*w_tilde[j], h*w[j]) for each j where
     either weight is nonzero; a zero entry (-0.0 too) gives None.  Each
     constant is the double the step would otherwise form from Python floats
-    on every call.
+    on every call.  Memoized per (tab, eps, h): the pair's arrays are
+    read-only and the plan's constants too, so callers share one plan.
     """
     def row(ct_row, ci_row):
         return tuple((j, _const(-h * ct) if ct else None, _const(h * ci) if ci else None)
@@ -192,24 +207,24 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
                     ru = trans_u[j] * ct
                     ru += u
                 else:
-                    np.multiply(trans_u[j], ct, out=tmp)
+                    _multiply(trans_u[j], ct, tmp)
                     ru += tmp
                 if rv is v:
                     rv = trans_v[j] * ct
                     rv += v
                 else:
-                    np.multiply(trans_v[j], ct, out=tmp)
+                    _multiply(trans_v[j], ct, tmp)
                     rv += tmp
             if ci is not None:
                 if rv is v:
                     rv = source[j] * ci
                     rv += v
                 else:
-                    np.multiply(source[j], ci, out=tmp)
+                    _multiply(source[j], ci, tmp)
                     rv += tmp
         if denom is None:
             break
-        src = np.asarray(model.flux(ru), float) - rv
+        src = model.flux(ru) - rv
         src /= denom
         sv = src * hdiag
         sv += rv
@@ -282,8 +297,9 @@ def _march(traj: Trajectory):
     The one step loop.  It keeps no state but the current one, and enters no
     np.errstate: a consumer holds that around its whole loop, so overflow is
     reported through DivergenceError, which gets the failing step's start
-    time here.  It builds a scaled plan (_scaled_plan) when the step size
-    changes, so a solve builds at most two: h, and the shortened last step.
+    time here.  It asks for a scaled plan (_scaled_plan) when the step size
+    changes, so a solve looks up at most two: h, and the shortened last
+    step; the memo builds each only once per (pair, eps, h).
     """
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     y = traj.steps[0]

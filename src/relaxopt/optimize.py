@@ -7,6 +7,7 @@ gradient; the finite-difference path exists purely as an independent oracle.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
@@ -31,7 +32,8 @@ class ControlProblem:
     `tableau` may be a registry name or an ImexTableau instance.  t_final = 0
     is allowed as a degenerate edge (the forward solve is then the identity),
     which keeps the finite-difference oracle testable without time stepping.
-    A problem compares and hashes by identity, since u_d is an array.
+    u_d must hold one finite value per cell.  A problem compares and hashes
+    by identity, since u_d is an array.
     """
 
     grid: Grid
@@ -48,6 +50,8 @@ class ControlProblem:
         if self.u_d.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"u_d has shape {self.u_d.shape}, expected ({self.grid.n_cells},)")
+        if not np.all(np.isfinite(self.u_d)):
+            raise ValueError("u_d contains non-finite entries")
         if not 0 <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if not 0 < self.c_cfl < np.inf:
@@ -143,10 +147,20 @@ def _frozen_speed_problem(problem: ControlProblem, *fields: np.ndarray) -> Contr
 
 
 def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient oracle, perturbation theta*(1+|u0_i|) per component."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    """Central-difference gradient oracle, perturbation theta*(1+|u0_i|) per component.
+
+    theta must be positive and finite, and so must every perturbed control
+    and difference quotient: a theta so large that u0 +- theta*(1+|u0_i|) or
+    a perturbed cost overflows raises ValueError.
+    """
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     u0 = np.asarray(u0, dtype=float)
+    # the largest perturbed entry, rounded as the loop below rounds it; a
+    # non-finite u0 is left to the solves, which name it
+    top = float(np.max(np.abs(u0), initial=0.0))
+    if math.isfinite(top) and not math.isfinite(top + theta * (1.0 + top)):
+        raise ValueError(f"theta = {theta} perturbs u0 beyond the float range")
     frozen = _frozen_speed_problem(problem, u0)
     # resolve a registry name once, not once per perturbed solve
     frozen = replace(frozen, tableau=frozen.resolve_tableau())
@@ -158,6 +172,10 @@ def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) ->
         dn = u0.copy()
         dn[i] -= th
         grad[i] = (reduced_cost(frozen, up) - reduced_cost(frozen, dn)) / (2.0 * th)
+    if not np.all(np.isfinite(grad)):
+        i = int(np.argmin(np.isfinite(grad)))
+        raise ValueError(f"theta = {theta} gives a non-finite difference quotient "
+                         f"at component {i}")
     return grad
 
 
@@ -179,12 +197,16 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     iterates may travel outside the speed range spanned by those two fields.
     An iterate whose characteristic speeds exceed the frozen speed
     (max|f'(u0)|/a > 1) raises SubcharacteristicError before its forward
-    solve runs.
+    solve runs.  max_iter must be integral, as Grid's n_cells is (3, 3.0 and
+    np.int64(3) all give 3).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not float(max_iter).is_integer():
+        raise ValueError(f"max_iter must be an integer, got {max_iter}")
+    max_iter = int(max_iter)
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     tab = problem.resolve_tableau()

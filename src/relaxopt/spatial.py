@@ -61,7 +61,9 @@ of length N in which imex_step and the adjoint step form each product term
 of their sums.  A muscl2 op's work (_LimitedWork) also holds the families,
 the limiter's differences, magnitudes, products, branch masks and slopes,
 and the transpose's two ghost-cell buffers.  The stencils write their
-intermediates there with out=, so under either scheme apply_dx,
+intermediates there, each ufunc taking its output array positionally
+through a module-level name bound once (_add, _multiply, ...), which numpy
+parses faster than np.add(..., out=...); so under either scheme apply_dx,
 apply_dx_linearized and apply_dx_transpose allocate nothing but the two
 arrays they return, and slice no buffer of their own.  Those arrays own
 their data, so no later call overwrites an earlier result.  Every call on
@@ -83,6 +85,11 @@ SCHEMES = ("upwind1", "muscl2")
 # op's own, a, 2a, a^2 and dx, are in its work
 _ZERO = _const(0.0)
 _HALF = _const(0.5)
+
+# The numpy calls of the stencils, bound once; each takes its output array
+# positionally, which numpy parses faster than an out= keyword
+_abs, _add, _subtract, _multiply = np.abs, np.add, np.subtract, np.multiply
+_less_equal, _copyto, _putmask = np.less_equal, np.copyto, np.putmask
 
 
 class _Limiter:
@@ -181,10 +188,12 @@ class _LimitedWork(_Work):
 class SpatialOp:
     """Transport discretization: grid, frozen speed a and scheme (muscl2 limits with minmod).
 
-    The other fields are derived from these and are not constructor
-    arguments.  `linear` says whether apply_dx is linear in the state
-    (upwind1): its transpose and linearization then read no base state,
-    while muscl2's limiter branches depend on the state, so they need one.
+    a must be positive, and finite with a finite a**2, since the stencils
+    scale by a, 2a and a**2.  The other fields are derived from these and
+    are not constructor arguments.  `linear` says whether apply_dx is linear
+    in the state (upwind1): its transpose and linearization then read no
+    base state, while muscl2's limiter branches depend on the state, so they
+    need one.
     `work` holds the operator's work buffers (_Work, or _LimitedWork under
     muscl2), made with it; an op must not be shared between threads (see the
     module docstring).
@@ -199,8 +208,10 @@ class SpatialOp:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}'; available: {', '.join(SCHEMES)}")
-        if not self.a > 0:
-            raise ValueError(f"speed a must be positive, got {self.a}")
+        a = float(self.a)
+        if not (a > 0 and a * a < np.inf):   # NaN fails too
+            raise ValueError(f"speed a must be positive and finite, with a finite a**2, "
+                             f"got {self.a}")
         object.__setattr__(self, "linear", self.scheme == "upwind1")
         work = _Work if self.linear else _LimitedWork
         object.__setattr__(self, "work", work(self.grid.n_cells, self.a, self.grid.dx))
@@ -214,17 +225,17 @@ def _branches(lim: _Limiter):
     where x is taken unless zero holds, so a tie takes x.  A NaN fails both
     tests, so minmod(nan, y) is y.
     """
-    np.abs(lim.d, out=lim.ad)
-    np.multiply(lim.x, lim.y, out=lim.prod)
-    np.less_equal(lim.prod, _ZERO, out=lim.zero)
-    np.less_equal(lim.ax, lim.ay, out=lim.left)
+    _abs(lim.d, lim.ad)
+    _multiply(lim.x, lim.y, lim.prod)
+    _less_equal(lim.prod, _ZERO, lim.zero)
+    _less_equal(lim.ax, lim.ay, lim.left)
 
 
 def _select(out, x, y, lim: _Limiter):
     """Write where(zero, 0.0, where(left, x, y)) into out, with the branches in lim."""
-    np.copyto(out, y)
-    np.putmask(out, lim.left, x)
-    np.putmask(out, lim.zero, _ZERO)
+    _copyto(out, y)
+    _putmask(out, lim.left, x)
+    _putmask(out, lim.zero, _ZERO)
 
 
 def minmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,12 +264,12 @@ def _char_diffs(op: SpatialOp, u, v):
     n, m = op.grid.n_cells, op.grid.n_cells + 2
     wk = op.work
     w, d = wk.w, wk.lim.d
-    np.multiply(u, wk.a, out=wk.au)
-    np.add(v, wk.au, out=wk.wp)
-    np.subtract(v, wk.au, out=wk.wm)
+    _multiply(u, wk.a, wk.au)
+    _add(v, wk.au, wk.wp)
+    _subtract(v, wk.au, wk.wm)
     w[0] = w[n]
     w[m] = w[m + n]
-    np.subtract(wk.w_next, wk.w_prev, out=wk.d_head)
+    _subtract(wk.w_next, wk.w_prev, wk.d_head)
     d[n] = d[0]
     d[m + n] = d[m]
 
@@ -275,8 +286,8 @@ def _limited_faces(wk: _LimitedWork):
     fp = wp + sp/2 goes into wk.fp and fm[i] = (wm - sm/2)[i+1] into wk.fm.
     """
     wk.lim.s *= _HALF
-    np.add(wk.wp, wk.sp, out=wk.fp)
-    np.subtract(wk.wm, wk.sm, out=wk.fm_cells)
+    _add(wk.wp, wk.sp, wk.fp)
+    _subtract(wk.wm, wk.sm, wk.fm_cells)
     wk.fm_buf[-1] = wk.fm_buf[0]
 
 
@@ -289,10 +300,10 @@ def _divergence(op: SpatialOp):
     wk = op.work
     n = op.grid.n_cells
     fp, fm, uf, vf = wk.fp, wk.fm, wk.uf, wk.vf
-    np.subtract(fp, fm, out=uf)
+    _subtract(fp, fm, uf)
     uf /= wk.two_a
     wk.u_face[0] = wk.u_face[n]
-    np.add(fp, fm, out=vf)
+    _add(fp, fm, vf)
     vf *= _HALF
     wk.v_face[0] = wk.v_face[n]
     out_u = vf - wk.vf_prev
@@ -313,9 +324,9 @@ def apply_dx(op: SpatialOp, state: RelaxState) -> RelaxState:
     if op.linear:
         # upwind faces fp = (v + a u)[i] and fm = (v - a u)[i+1], ghost fm_buf[n] = fm_buf[0]
         au = wk.au
-        np.multiply(u, wk.a, out=au)
-        np.add(v, au, out=wk.fp)
-        np.subtract(v, au, out=wk.fm_cells)
+        _multiply(u, wk.a, au)
+        _add(v, au, wk.fp)
+        _subtract(v, au, wk.fm_cells)
         wk.fm_buf[n] = wk.fm_buf[0]
     else:
         lim = wk.lim
@@ -376,17 +387,17 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
     # from the periodic forward differences x[i] - x[i+1] of the inputs
     wk = op.work
     half, t, wp_bar, wm_bar = wk.half, wk.t, wk.wp_bar, wk.wm_bar
-    np.subtract(zu[:-1], zu[1:], out=wk.half_head)
+    _subtract(zu[:-1], zu[1:], wk.half_head)
     half[-1] = zu[-1] - zu[0]
     half /= wk.dx
     half *= _HALF
-    np.subtract(zv[:-1], zv[1:], out=wk.t_head)
+    _subtract(zv[:-1], zv[1:], wk.t_head)
     t[-1] = zv[-1] - zv[0]
     t *= wk.a_sq
     t /= wk.dx
     t /= wk.two_a
-    np.add(t, half, out=wp_bar)               # fp_bar
-    np.subtract(half, t, out=wk.wm_bar_next)  # fm_bar[i-1]
+    _add(t, half, wp_bar)               # fp_bar
+    _subtract(half, t, wk.wm_bar_next)  # fm_bar[i-1]
     wk.wbar[m] = wk.wbar[m + n]
 
     if not op.linear:
@@ -402,11 +413,11 @@ def apply_dx_transpose(op: SpatialOp, costate: RelaxState, base=None) -> RelaxSt
         right[0] = right[n]
         right[m] = right[m + n]
         _select(wk.dbar_cells, wk.sbar, _ZERO, lim)    # where(took_x, sbar, 0)
-        np.add(wk.dbar_cells, wk.right_prev, out=wk.dbar_cells)
+        _add(wk.dbar_cells, wk.right_prev, wk.dbar_cells)
         dbar[n] = dbar[0]
         dbar[m + n] = dbar[m]
         g = lim.s
-        np.subtract(wk.dbar_cells, wk.dbar_next, out=g)
+        _subtract(wk.dbar_cells, wk.dbar_next, g)
         g *= _HALF
         wp_bar += wk.sp
         wm_bar -= wk.sm

@@ -41,19 +41,29 @@ class TableauParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only float64 copy of x, which no later write to x or to the copy changes."""
+    arr = np.array(x, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ImexTableau:
     """Explicit/implicit Butcher pair sharing one stage count.
 
-    ImexTableau(name, a_tilde, a_impl, w_tilde, w) converts the coefficients
-    to float arrays.  a_tilde is strictly lower triangular (explicit), a_impl
-    lower triangular with diagonal allowed (diagonally implicit).  The other
-    fields are derived from the entries when the pair is built and are not
-    constructor arguments: the stage count `s` = len(w_tilde), the abscissae
-    `c_tilde` and `c`, the row sums of the respective matrices, and
-    `adjoint_coeffs`, which is adjoint_coeffs(pair), or None when a weight is
-    zero and its matrices are undefined; solve_adjoint then runs the xi
-    form, which reads the entries themselves.
+    ImexTableau(name, a_tilde, a_impl, w_tilde, w) keeps read-only float64
+    copies of the coefficients, so a later write to the caller's arrays
+    changes no field, and a write into a field raises; the steppers' scaled
+    plans, memoized per pair, rely on that.  a_tilde is strictly lower
+    triangular (explicit), a_impl lower triangular with diagonal allowed
+    (diagonally implicit).  The other fields are derived from the entries
+    when the pair is built and are not constructor arguments: the stage
+    count `s` = len(w_tilde), the abscissae `c_tilde` and `c`, the row sums
+    of the respective matrices, and `adjoint_coeffs`, which is
+    adjoint_coeffs(pair), or None when a weight is zero and its matrices are
+    undefined; solve_adjoint then runs the xi form, which reads the entries
+    themselves.
     A pair compares and hashes by identity, since its fields are arrays.
     """
 
@@ -71,7 +81,7 @@ class ImexTableau:
         s = len(self.w_tilde)
         for label, shape in (("a_tilde", (s, s)), ("a_impl", (s, s)),
                              ("w_tilde", (s,)), ("w", (s,))):
-            arr = np.asarray(getattr(self, label), dtype=float)
+            arr = _frozen(getattr(self, label))
             if arr.shape != shape:
                 raise ValueError(f"{label} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -83,8 +93,8 @@ class ImexTableau:
         if np.any(np.triu(ai, 1) != 0.0):
             raise ValueError("a_impl must be lower triangular")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c_tilde", at.sum(axis=1))
-        object.__setattr__(self, "c", ai.sum(axis=1))
+        object.__setattr__(self, "c_tilde", _frozen(at.sum(axis=1)))
+        object.__setattr__(self, "c", _frozen(ai.sum(axis=1)))
         try:
             coeffs = adjoint_coeffs(self)
         except ZeroWeightError:
@@ -103,7 +113,8 @@ class AdjointCoeffs:
 
     gamma/gamma_tilde are the row sums of alpha/alpha_tilde, derived in
     __post_init__ and not constructor arguments; they enter the third-order
-    branch conditions.  The ark form of the adjoint step reads the matrices
+    branch conditions.  Every field is a read-only float64 copy, as in
+    ImexTableau.  The ark form of the adjoint step reads the matrices
     (adjoint._scaled_plan).
     The coefficients compare and hash by identity, since their fields are
     arrays.
@@ -117,8 +128,10 @@ class AdjointCoeffs:
     gamma_tilde: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", self.alpha.sum(axis=1))
-        object.__setattr__(self, "gamma_tilde", self.alpha_tilde.sum(axis=1))
+        for label in ("alpha_tilde", "alpha", "beta_tilde", "beta"):
+            object.__setattr__(self, label, _frozen(getattr(self, label)))
+        object.__setattr__(self, "gamma", _frozen(self.alpha.sum(axis=1)))
+        object.__setattr__(self, "gamma_tilde", _frozen(self.alpha_tilde.sum(axis=1)))
 
 
 def adjoint_coeffs(tab: ImexTableau) -> AdjointCoeffs:

@@ -37,6 +37,10 @@ def test_make_grid_rejects_bad_input():
     for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             make_grid(lo, hi, 8)
+    # finite bounds whose spacing overflows, or underflows to zero
+    for lo, hi in ((-1e308, 1e308), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="dx"):
+            make_grid(lo, hi, 4)
     for bad in (2.7, 8.5, np.float64(3.2)):
         with pytest.raises(ValueError, match="n_cells"):
             make_grid(0.0, 1.0, bad)

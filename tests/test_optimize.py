@@ -197,6 +197,42 @@ def test_control_problem_validation():
             ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(),
                            t_final=1.0, u_d=np.zeros(10), tableau="imex-euler",
                            c_cfl=bad)
+        # a non-finite target used to surface as a NaN cost, or as an error
+        # naming u_field from the speed choice of the descent
+        u_d = np.zeros(10)
+        u_d[3] = bad
+        with pytest.raises(ValueError, match="u_d contains non-finite"):
+            ControlProblem(grid=g, model=burgers_model(), relax=RelaxConfig(),
+                           t_final=1.0, u_d=u_d, tableau="imex-euler")
+
+
+def test_fd_gradient_requires_a_finite_theta():
+    prob = _problem(n=8, t_final=0.0)
+    for bad in (np.inf, np.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="theta"):
+            fd_gradient(prob, np.zeros(8), theta=bad)
+    # a finite theta whose perturbed cost, or perturbed control, overflows
+    # names theta too, not u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="theta = 1e.300 .*component 0"):
+            fd_gradient(prob, np.zeros(8), theta=1e300)
+    with pytest.raises(ValueError, match="theta = 1e.308 perturbs u0"):
+        fd_gradient(prob, np.ones(8), theta=1e308)
+
+
+def test_descent_requires_an_integral_max_iter():
+    # Grid's rule: 3, 3.0 and np.int64(3) all give 3 updates, and 2.5 raises
+    # (it made 3 updates before)
+    prob = _problem(n=10, t_final=0.0)
+    start = np.full(10, 0.5) + 0.1 * np.sin(prob.grid.centers)
+    counts = []
+    for good in (3, 3.0, np.int64(3)):
+        _, report = steepest_descent(prob, start, tol=1e-30, max_iter=good)
+        counts.append(report.iterations)
+    assert counts == [3, 3, 3]
+    for bad in (2.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="max_iter"):
+            steepest_descent(prob, start, tol=1e-30, max_iter=bad)
 
 
 def test_export_trace_schema_and_determinism(tmp_path):

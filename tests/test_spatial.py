@@ -7,7 +7,7 @@ import oracles
 from oracles import _minmod, roll_apply_dx, roll_apply_dx_linearized, roll_apply_dx_transpose
 from relaxopt import spatial
 from relaxopt.core import RelaxState, make_grid
-from relaxopt.spatial import (SpatialOp, apply_dx, apply_dx_linearized,
+from relaxopt.spatial import (SCHEMES, SpatialOp, apply_dx, apply_dx_linearized,
                               apply_dx_transpose, minmod)
 
 
@@ -245,6 +245,12 @@ def test_unknown_scheme_rejected():
         SpatialOp(g, 1.0, scheme="weno5")
     with pytest.raises(ValueError):
         SpatialOp(g, 0.0)
+    # an infinite or NaN speed, or one whose square overflows, would turn
+    # apply_dx's output non-finite
+    for bad in (np.inf, np.nan, -np.inf, 1e200, np.float64(1e200)):
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError, match="speed a"):
+                SpatialOp(g, bad, scheme)
 
 
 def test_linear_is_derived_from_the_scheme():

@@ -405,3 +405,36 @@ def test_pairs_and_adjoint_coeffs_compare_and_hash_by_identity():
     assert len({tab, again, tab}) == 2
     assert len({tab.adjoint_coeffs, again.adjoint_coeffs}) == 2
     assert dataclasses.replace(tab, name="copy") != tab
+
+
+def test_pair_owns_read_only_copies_of_its_arrays():
+    # the memoized step plans rest on this: no write to the caller's arrays
+    # reaches a pair, and no field of a pair can be written
+    at = np.array([[0.0, 0.0], [1.0, 0.0]])
+    ai = np.array([[0.5, 0.0], [0.5, 0.5]])
+    wt, w = np.array([0.5, 0.5]), np.array([0.5, 0.5])
+    tab = ImexTableau("copied", at, ai, wt, w)
+    want = {name: getattr(tab, name).copy() for name in ("a_tilde", "a_impl", "w_tilde", "w",
+                                                         "c_tilde", "c")}
+    coeffs = {name: getattr(tab.adjoint_coeffs, name).copy()
+              for name in ("alpha_tilde", "alpha", "beta_tilde", "beta", "gamma", "gamma_tilde")}
+    at[1, 0] = 7.0
+    ai[1, 1] = 7.0
+    wt[0] = w[0] = 7.0
+    for name, arr in want.items():
+        assert np.array_equal(getattr(tab, name), arr), name
+    for name, arr in coeffs.items():
+        assert np.array_equal(getattr(tab.adjoint_coeffs, name), arr), name
+    for name in want:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tab, name)[0] = 1.0
+    for name in coeffs:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tab.adjoint_coeffs, name)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        tab.a_tilde[1, 0] = 7.0
+    # AdjointCoeffs built directly copies its matrices too
+    alpha = np.eye(2)
+    direct = AdjointCoeffs(alpha_tilde=alpha, alpha=alpha, beta_tilde=alpha, beta=alpha)
+    alpha[0, 0] = 3.0
+    assert direct.alpha[0, 0] == 1.0 and direct.gamma[0] == 1.0
