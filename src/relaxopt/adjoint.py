@@ -38,26 +38,25 @@ as RelaxStates without re-validation (core._pair).
 A plan holds the nonzero coefficients scaled for one step size: the
 products -h*c, the stage solve's 1 + h*a_ii/eps, the starts that are not
 1.0 and eps itself, as read-only 0-d arrays, which numpy takes as they are,
-where a Python float operand is converted on every call.  A sweep looks up
-one plan per distinct step size, at most two (h and the shortened last
-step), and a bare stepper call asks for its own; _scaled_plan is memoized
-per (form, pair, eps, h) with a fixed-size functools.lru_cache, as the
-forward plan is, so a descent's sweeps after the first build none.  So a
-step indexes no tableau array, forms no coefficient and builds no term
-lists, and its product terms take their output positionally through a name
-bound once (_multiply).  Each combination is one loop over its plan row,
-with no Python call per term: as in imex_step, the first term allocates
-the result as x * c and adds the base, and every later term is formed in
-the op's scratch array (SpatialOp.work.tmp) and added in place.
-The step stores the source's second component as q / eps and puts its sign
-on the coefficients.  Through the ark plan it is bit-identical to the
-array-indexing version kept in tests/oracles.py.
+where a Python float operand is converted on every call.  Each stepper
+looks its plan up itself: _scaled_plan is memoized per (form, pair, eps, h)
+with a fixed-size functools.lru_cache, as the forward plan is, so a sweep
+builds one plan per distinct step size and a descent's sweeps after the
+first build none.  So a step indexes no tableau array, forms no coefficient
+and builds no term lists, and its product terms take their output
+positionally through a name bound once (_multiply).  Each combination is
+one loop over its plan row, with no Python call per term: as in imex_step,
+the first term allocates the result as x * c and adds the base, and every
+later term is formed in the op's scratch array (SpatialOp.work.tmp) and
+added in place.  The step stores the source's second component as q / eps
+and puts its sign on the coefficients.  Through the ark plan it is
+bit-identical to the array-indexing version kept in tests/oracles.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -243,35 +242,28 @@ def _adjoint_step(plan: tuple, tab: ImexTableau, op: SpatialOp, model: FluxModel
 
 
 def adjoint_step_ark(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                     stages: List[Stage], p_next: RelaxState, h: float, *,
-                     plan: Optional[tuple] = None) -> RelaxState:
+                     stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
     """One backward step in stage-costate form, through tab.adjoint_coeffs; returns p_n.
 
     Needs every weight nonzero; on a pair with a zero weight (adjoint_coeffs
-    is None) it raises the ZeroWeightError that names the weight.  A bare
-    call builds the plan for h; solve_adjoint passes it as `plan`, which
-    must be _scaled_plan("ark", tab, eps, h).
+    is None) it raises the ZeroWeightError that names the weight.  The
+    step looks up its plan, _scaled_plan("ark", tab, eps, h).
     """
     if tab.adjoint_coeffs is None:
         adjoint_coeffs(tab)   # raises ZeroWeightError naming the zero weight
-    if plan is None:
-        plan = _scaled_plan("ark", tab, eps, h)
-    return _adjoint_step(plan, tab, op, model, stages, p_next)
+    return _adjoint_step(_scaled_plan("ark", tab, eps, h), tab, op, model, stages, p_next)
 
 
 def adjoint_step_xi(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                    stages: List[Stage], p_next: RelaxState, h: float, *,
-                    plan: Optional[tuple] = None) -> RelaxState:
+                    stages: List[Stage], p_next: RelaxState, h: float) -> RelaxState:
     """One backward step in scaled-variable form, through the pair's entries; returns p_n.
 
     Defined for any weights.  When all weights are nonzero, stage row i
     forms w_tilde[i] times the ark form's tilde stage costate and w[i] times
-    the q part of its stage costate.  `plan` is as for adjoint_step_ark,
-    built as _scaled_plan("xi", tab, eps, h).
+    the q part of its stage costate.  The step looks up its plan,
+    _scaled_plan("xi", tab, eps, h).
     """
-    if plan is None:
-        plan = _scaled_plan("xi", tab, eps, h)
-    return _adjoint_step(plan, tab, op, model, stages, p_next)
+    return _adjoint_step(_scaled_plan("xi", tab, eps, h), tab, op, model, stages, p_next)
 
 
 def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> AdjointSweepRecord:
@@ -293,11 +285,8 @@ def solve_adjoint(traj: Trajectory, u_d: np.ndarray, form: str = "ark") -> Adjoi
     form_used = "ark" if form == "ark" and tab.adjoint_coeffs is not None else "xi"
     step = adjoint_step_ark if form_used == "ark" else adjoint_step_xi
     p = terminal_costate(traj.steps[-1].u, np.asarray(u_d, float), traj.grid.dx)
-    scaled = scaled_h = None
     for h, stages in zip(reversed(traj.dts.tolist()), reversed(traj.stages)):
-        if h != scaled_h:
-            scaled, scaled_h = _scaled_plan(form_used, tab, eps, h), h
-        p = step(tab, op, model, eps, stages, p, h, plan=scaled)
+        p = step(tab, op, model, eps, stages, p, h)
     return AdjointSweepRecord(costates=[p], stage_costates_tilde=[],
                               stage_costates=[], form_used=form_used)
 
@@ -307,8 +296,12 @@ def assemble_gradient(record: AdjointSweepRecord, u0: np.ndarray,
     """Reduced gradient with respect to the initial control:  p_0 + f'(u0) * q_0.
 
     p_0 and q_0 are the u and v parts of the time-zero costate; the f'(u0)
-    factor transposes the pointwise initialization v_0 = f(u_0).
+    factor transposes the pointwise initialization v_0 = f(u_0).  u0 must
+    be a 1-D field of the costate's length.
     """
     c0 = record.costates[0]
     u0 = np.asarray(u0, dtype=float)
+    if u0.shape != c0.u.shape:
+        raise ValueError(f"u0 must be a 1-D field of the costate's length {c0.u.size}, "
+                         f"got shape {u0.shape}")
     return c0.u + np.asarray(model.flux_deriv(u0), float) * c0.v

@@ -42,8 +42,9 @@ class Grid:
         if n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {n_cells}")
         x_min, x_max = self.x_min, self.x_max
-        if not (np.isfinite(x_min) and np.isfinite(x_max)):
-            raise ValueError(f"grid bounds must be finite, got x_min={x_min}, x_max={x_max}")
+        for name, x in (("x_min", x_min), ("x_max", x_max)):
+            if not np.isfinite(x):
+                raise ValueError(f"{name} must be finite, got x_min={x_min}, x_max={x_max}")
         if not x_max > x_min:
             raise ValueError(f"degenerate interval: x_max={x_max} must exceed x_min={x_min}")
         dx = (x_max - x_min) / n_cells

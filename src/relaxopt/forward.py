@@ -15,28 +15,27 @@ export_trajectory writes its frames as they are reached.
 A step reads its coefficients from a plan built from the pair's arrays for
 its step size (_scaled_plan): the products -h*ct, h*ci, eps + h*a_ii and
 h*a_ii of the nonzero entries, as read-only 0-d arrays, which numpy takes
-as they are, where a Python float operand is converted on every call.  So
-a step neither slices the coefficient arrays nor compares numpy scalars
-with zero.  A solve looks up one scaled plan per distinct step size, at
-most two, and _scaled_plan is memoized per (pair, eps, h) with a fixed-size
-functools.lru_cache: a pair keeps read-only copies of its arrays, so the
-plan is a pure function of the three, and its constants are read-only, so
-every solve can share it.  Repeated solves with one pair and step size,
-such as the perturbed solves of fd_gradient or the iterations of a descent,
-build it once.  A product term takes its output array positionally,
-through a name bound once (_multiply), as in spatial.py, and the flux
-values enter their one subtraction as the model returns them.  Each
-combination of a stage or of the update is one loop over its plan row,
-with no Python call per term: the first term allocates the result as
-x * c and adds the base to it, which IEEE arithmetic rounds exactly as
-base + c * x, and every later term is formed in the op's scratch array
-(SpatialOp.work.tmp) and added in place, so a term allocates no
-temporary.  Finite values are checked once per step, on the result, with
-one reduction over both fields, the dot product u.v: any
-non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so only
-a non-finite product pays for the elementwise scan, and a failure names the
-first non-finite stage (see DivergenceError).  The stage states and the
-result are built without re-validating arrays the step just made
+as they are, where a Python float operand is converted on every call.  So a
+step neither slices the coefficient arrays nor compares numpy scalars with
+zero.  Each step looks its plan up itself: _scaled_plan is memoized per
+(pair, eps, h) with a fixed-size functools.lru_cache.  A pair keeps
+read-only copies of its arrays, so the plan is a pure function of the
+three, and its constants are read-only, so every step and solve can share
+it.  The steps of a solve, the perturbed solves of fd_gradient and the
+iterations of a descent build it once per pair, eps and step size.  A
+product term takes its output array positionally, through a name bound once
+(_multiply), as in spatial.py, and the flux values enter their one
+subtraction as the model returns them.  Each combination of a stage or of
+the update is one loop over its plan row, with no Python call per term: the
+first term allocates the result as x * c and adds the base to it, which
+IEEE arithmetic rounds exactly as base + c * x, and every later term is
+formed in the op's scratch array (SpatialOp.work.tmp) and added in place,
+so a term allocates no temporary.  Finite values are checked once per step,
+on the result, with one reduction over both fields, the dot product u.v:
+any non-finite entry makes it non-finite (inf*0 and inf-inf give nan), so
+only a non-finite product pays for the elementwise scan, and a failure
+names the first non-finite stage (see DivergenceError).  The stage states
+and the result are built without re-validating arrays the step just made
 (core._pair), and a solve enters np.errstate once, not once per step.  None
 of this touches an element's floating-point operations or their order, so
 results are bit-identical to the per-stage formulation kept in
@@ -67,9 +66,9 @@ class DivergenceError(RuntimeError):
 
     Raised when the result of a step is non-finite.  `stage` names the first
     stage of that step whose state is non-finite, or the last stage when all
-    of them are finite and only the update overflowed.  `time` is the start
-    time of the failing step when the error comes from solve_forward, and
-    None when it comes from a bare imex_step call.
+    of them are finite and only the update overflowed.  From solve_forward,
+    `step` is the failing step's index and `time` its start time; a bare
+    imex_step call is step 0 of its own march and has no time (None).
     """
 
     def __init__(self, step: int, stage: int, time: Optional[float] = None):
@@ -155,7 +154,7 @@ def _scaled_plan(tab: ImexTableau, eps: float, h: float) -> tuple:
 
 
 def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-              y_n: RelaxState, h: float, step_index: int = 0, *, plan: Optional[tuple] = None):
+              y_n: RelaxState, h: float):
     """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
 
     Stage i: the u-component is fully explicit (the source has zero first
@@ -166,10 +165,9 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     by 1/eps, so local-equilibrium states (v = f(u) constant) are exact fixed
     points.  The step update applies the explicit weights to the transport
     increments and the implicit weights to the source values.  The
-    coefficients come from the pair's plan scaled by h (_scaled_plan), so
-    zero entries cost nothing and no product takes a Python float.  A bare
-    call builds that plan; _march passes one per distinct step size as
-    `plan`, which must be _scaled_plan(tab, eps, h).
+    coefficients come from the pair's plan scaled by h, which the step
+    looks up in the memo (_scaled_plan), so zero entries cost nothing and
+    no product takes a Python float.
 
     A combination (u, v) - h * sum ct (trans_u[j], trans_v[j]) + h * sum ci
     (0, source[j]) adds its terms left to right, and for v the transport term
@@ -179,12 +177,14 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     array itself, which is never written.
 
     Finite values are checked once, on the result: if y_{n+1} has a
-    non-finite entry, DivergenceError names step_index and the first stage
-    whose u or v is non-finite, or stage s-1 when every stage is finite.  A
-    non-finite stage that enters the result only through zero coefficients
-    goes unreported.  The check takes the dot product of the two fields and
-    scans the elements only when that is not finite, so a finite state whose
-    product overflows passes.
+    non-finite entry, DivergenceError names the first stage whose u or v
+    is non-finite, or stage s-1 when every stage is finite.  The step is
+    step 0 of its own one-step march, so the error names step 0 and no
+    time; solve_forward's loop (_march) relabels it with its own step and
+    that step's start time.  A non-finite stage that enters the result only
+    through zero coefficients goes unreported.  The check takes the dot
+    product of the two fields and scans the elements only when that is not
+    finite, so a finite state whose product overflows passes.
 
     A bare call does not silence numpy's floating-point warnings; overflow
     in a step, or in the check's dot product, warns unless the caller is
@@ -192,14 +192,12 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    if plan is None:
-        plan = _scaled_plan(tab, eps, h)
     u, v = y_n.u, y_n.v
     stages: List[RelaxState] = []
     trans_u, trans_v, source = [], [], []   # per-stage transport increments and source values
     tmp = op.work.tmp                       # one product term, before it is added
     # the s stage rows, then the update row (weights, no diagonal)
-    for terms, denom, hdiag in plan:
+    for terms, denom, hdiag in _scaled_plan(tab, eps, h):
         ru, rv = u, v
         for j, ct, ci in terms:
             if ct is not None:
@@ -236,7 +234,7 @@ def imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
         source.append(src)
     if not math.isfinite(ru.dot(rv)) and not _finite(ru, rv):
         bad = (i for i, st in enumerate(stages) if not _finite(st.u, st.v))
-        raise DivergenceError(step_index, next(bad, tab.s - 1))
+        raise DivergenceError(0, next(bad, tab.s - 1))
     return _pair(ru, rv), stages
 
 
@@ -296,22 +294,17 @@ def _march(traj: Trajectory):
 
     The one step loop.  It keeps no state but the current one, and enters no
     np.errstate: a consumer holds that around its whole loop, so overflow is
-    reported through DivergenceError, which gets the failing step's start
-    time here.  It asks for a scaled plan (_scaled_plan) when the step size
-    changes, so a solve looks up at most two: h, and the shortened last
-    step; the memo builds each only once per (pair, eps, h).
+    reported through DivergenceError, which gets the failing step's index
+    and start time here.
     """
     tab, op, model, eps = traj.tab, traj.op, traj.model, traj.epsilon
     y = traj.steps[0]
-    plan = plan_h = None
     for n, hn in enumerate(traj.dts.tolist()):
-        if hn != plan_h:
-            plan, plan_h = _scaled_plan(tab, eps, hn), hn
         try:
-            y, stage_states = imex_step(tab, op, model, eps, y, hn, step_index=n, plan=plan)
+            y, stage_states = imex_step(tab, op, model, eps, y, hn)
         except DivergenceError as err:
-            # imex_step knows the step index, not the time; add the step's start time
-            raise DivergenceError(err.step, err.stage, float(traj.times[n])) from None
+            # imex_step is step 0 of its own march; name this march's step and its start time
+            raise DivergenceError(n, err.stage, float(traj.times[n])) from None
         yield y, stage_states
 
 

@@ -154,7 +154,7 @@ def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) ->
     a perturbed cost overflows raises ValueError.
     """
     if not 0 < theta < np.inf:
-        raise ValueError(f"theta must be positive and finite, got {theta}")
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     u0 = np.asarray(u0, dtype=float)
     # the largest perturbed entry, rounded as the loop below rounds it; a
     # non-finite u0 is left to the solves, which name it
@@ -197,13 +197,14 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
     iterates may travel outside the speed range spanned by those two fields.
     An iterate whose characteristic speeds exceed the frozen speed
     (max|f'(u0)|/a > 1) raises SubcharacteristicError before its forward
-    solve runs.  max_iter must be integral, as Grid's n_cells is (3, 3.0 and
-    np.int64(3) all give 3).
+    solve runs.  alpha must lie in (0, 1) and tol in (0, inf), so an
+    infinite tol cannot stop the run before its first update; max_iter must
+    be integral, as Grid's n_cells is (3, 3.0 and np.int64(3) all give 3).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if not float(max_iter).is_integer():
         raise ValueError(f"max_iter must be an integer, got {max_iter}")
     max_iter = int(max_iter)

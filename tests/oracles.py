@@ -167,9 +167,10 @@ def imex_step_kform(tab, op, model, eps, y_n, h):
     return RelaxState(u1, v1)
 
 
-def _require_finite(arr, step_index, stage_index):
+def _require_finite(arr, stage_index):
+    # a bare step is step 0 of its own march, as imex_step reports it
     if not np.isfinite(arr).all():
-        raise DivergenceError(step_index, stage_index)
+        raise DivergenceError(0, stage_index)
 
 
 def _lincomb(x, terms):
@@ -207,7 +208,7 @@ def _combine(y: RelaxState, h, ct, ci, trans_u, trans_v, source):
 
 
 def ref_imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
-                  y_n: RelaxState, h: float, step_index: int = 0):
+                  y_n: RelaxState, h: float):
     """One IMEX step in stage-value form; returns (y_{n+1}, stage states).
 
     Stage i: the u-component is fully explicit (the source has zero first
@@ -232,8 +233,8 @@ def ref_imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
             fu = np.asarray(model.flux(ru), float)
             src = (fu - rv) / (eps + h * ai[i, i])
             vi = rv + (h * ai[i, i]) * src
-            _require_finite(ru, step_index, i)
-            _require_finite(vi, step_index, i)
+            _require_finite(ru, i)
+            _require_finite(vi, i)
             stage = RelaxState(ru, vi)
             stages.append(stage)
             g = apply_dx(op, stage)
@@ -241,8 +242,8 @@ def ref_imex_step(tab: ImexTableau, op: SpatialOp, model: FluxModel, eps: float,
             trans_v.append(g.v)
             source.append(src)
         u1, v1 = _combine(y_n, h, tab.w_tilde, tab.w, trans_u, trans_v, source)
-        _require_finite(u1, step_index, s - 1)
-        _require_finite(v1, step_index, s - 1)
+        _require_finite(u1, s - 1)
+        _require_finite(v1, s - 1)
     return RelaxState(u1, v1), stages
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -213,32 +214,27 @@ def test_sweep_record_keeps_costates_only(form, scheme):
 
 @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
 @pytest.mark.parametrize("name", builtin_names())
-def test_sweep_scales_its_plan_once_per_step_size_as_bare_steps_do(monkeypatch, name, scheme):
-    # the sweep scales the adjoint plan once per step size, h and the
-    # shortened last step, and a bare stepper once per call; both give the
-    # same bits on every registered pair, in both forms
+def test_sweep_scales_its_plan_once_per_step_size_as_bare_steps_do(name, scheme):
+    # the sweep builds the adjoint plan once per step size, h and the
+    # shortened last step, and bare steppers over the same steps build none
+    # more; both give the same bits on every registered pair, in both forms
     eps = 1.0 if name == "bpr-343" else 1e-6
     prob, u0 = _tracking_setup(n=24, tableau=name, eps=eps)
     prob = dataclasses.replace(prob, scheme=scheme)
     tab = prob.resolve_tableau()
     traj = solve_forward(prob, tab, u0)
     assert traj.dts[-1] < traj.h
-    built, scaled_plan = [0], adjoint_module._scaled_plan
-
-    def counted(*args):
-        built[0] += 1
-        return scaled_plan(*args)
-    monkeypatch.setattr(adjoint_module, "_scaled_plan", counted)
+    memo = adjoint_module._scaled_plan
     for form in adjoint_module.FORMS:
-        built[0] = 0
+        memo.cache_clear()
         rec = solve_adjoint(traj, prob.u_d, form=form)
-        assert built == [2], form
+        assert memo.cache_info().misses == 2, form
         step = {"ark": adjoint_step_ark, "xi": adjoint_step_xi}[rec.form_used]
         p = terminal_costate(traj.steps[-1].u, prob.u_d, traj.grid.dx)
         for n in reversed(range(traj.n_steps)):
             p = step(tab, traj.op, prob.model, traj.epsilon, traj.stages[n], p,
                      float(traj.dts[n]))
-        assert built == [2 + traj.n_steps], form
+        assert memo.cache_info().misses == 2, form
         assert np.array_equal(p.u, rec.costates[0].u), form
         assert np.array_equal(p.v, rec.costates[0].v), form
 
@@ -339,6 +335,25 @@ def test_assemble_gradient_composition():
     assert np.allclose(got, p0 + c * q0, atol=1e-15, rtol=0.0)
     got_b = assemble_gradient(rec, u0, burgers_model())
     assert np.allclose(got_b, p0 + u0 * q0, atol=1e-15, rtol=0.0)
+
+
+@pytest.mark.parametrize("u0", [np.full(1, 0.5), np.full((3, 10), 0.5), np.full(11, 0.5),
+                                np.float64(0.5)], ids=["one-cell", "stacked", "long", "scalar"])
+def test_assemble_gradient_rejects_a_control_of_the_wrong_shape(u0):
+    # numpy would broadcast each of these against the (10,) costate
+    rec = type("R", (), {})()
+    rec.costates = [RelaxState(np.zeros(10), np.ones(10))]
+    with pytest.raises(ValueError, match="u0"):
+        assemble_gradient(rec, u0, burgers_model())
+
+
+def test_steppers_take_only_what_defines_a_step():
+    # each stepper looks its scaled plan up itself, so no caller passes one
+    def params(fn):
+        return tuple(inspect.signature(fn).parameters)
+    assert params(imex_step) == ("tab", "op", "model", "eps", "y_n", "h")
+    for step in (adjoint_step_ark, adjoint_step_xi):
+        assert params(step) == ("tab", "op", "model", "eps", "stages", "p_next", "h")
 
 
 @pytest.mark.parametrize("tableau", ["imex-euler", "ars-222"])

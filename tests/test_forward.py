@@ -270,35 +270,29 @@ def _chain(tab, op, model, eps, u0, dts):
     return ys, stages
 
 
-def _count_scaled_plans(monkeypatch, module):
-    """Count calls of module._scaled_plan from now on; returns the one-entry count list."""
-    built, scaled_plan = [0], module._scaled_plan
-
-    def counted(*args):
-        built[0] += 1
-        return scaled_plan(*args)
-    monkeypatch.setattr(module, "_scaled_plan", counted)
-    return built
+def _plans_built():
+    """How many step plans forward._scaled_plan has built since its memo was last cleared."""
+    return forward._scaled_plan.cache_info().misses
 
 
 @pytest.mark.parametrize("name, scheme", _RECORD_CASES)
-def test_full_record_replays_bitwise(monkeypatch, name, scheme):
+def test_full_record_replays_bitwise(name, scheme):
     # a stage combination that wrote into an array it shares with a stored
     # stage would change the record after the fact; a stored stage keeps its
     # v only where the transport transpose reads it (muscl2).  The solve
-    # scales the step plan once per step size, the bare steps once per call,
-    # and both give the same bits, the shortened last step included
+    # builds the step plan once per step size, the bare steps build none
+    # more, and both give the same bits, the shortened last step included
     eps = 1.0 if name == "bpr-343" else 1e-6
     g, model, u0, cfg = _setup(n=24, eps=eps)
     prob = Problem(g, model, cfg, t_final=0.2, scheme=scheme)
     tab = builtin_tableau(name)
-    built = _count_scaled_plans(monkeypatch, forward)
+    forward._scaled_plan.cache_clear()
     traj = solve_forward(prob, tab, u0, store_stages=True)
     assert traj.dts[-1] < traj.h
-    assert built == [2]
+    assert _plans_built() == 2
     assert traj.op.linear == (scheme == "upwind1")
     ys, chained = _chain(tab, traj.op, model, eps, u0, traj.dts)
-    assert built == [2 + traj.n_steps]
+    assert _plans_built() == 2
     assert len(traj.steps) == 1
     assert np.array_equal(traj.steps[0].u, ys[-1].u)
     assert np.array_equal(traj.steps[0].v, ys[-1].v)
@@ -315,17 +309,16 @@ def test_full_record_replays_bitwise(monkeypatch, name, scheme):
 
 
 @pytest.mark.parametrize("t_final, dt", [(0.25, 0.0625), (0.25, 0.07), (0.25, None)])
-def test_a_solve_scales_the_plan_once_per_step_size(monkeypatch, t_final, dt):
+def test_a_solve_scales_the_plan_once_per_step_size(t_final, dt):
     g, model, u0, cfg = _setup(n=24)
     prob = Problem(g, model, cfg, t_final=t_final)
-    built = _count_scaled_plans(monkeypatch, forward)
     for store_stages in (True, False):
-        built[0] = 0
+        forward._scaled_plan.cache_clear()
         traj = solve_forward(prob, builtin_tableau("ars-222"), u0, store_stages=store_stages,
                              dt=dt)
         assert traj.n_steps >= 4
-        assert built == [len(set(traj.dts.tolist()))]
-        assert built[0] == (1 if dt == 0.0625 else 2)
+        assert _plans_built() == len(set(traj.dts.tolist()))
+        assert _plans_built() == (1 if dt == 0.0625 else 2)
 
 
 def test_stored_linear_record_keeps_no_stage_v():
@@ -433,7 +426,7 @@ def test_divergence_names_the_failing_stage(stage):
 
 
 @pytest.mark.parametrize("name", builtin_names())
-def test_bare_imex_step_reports_given_step_index(name):
+def test_bare_imex_step_is_step_zero_of_its_own_march(name):
     # flux call k (0-based) is stage k of this one step; the last stage is
     # poisoned, and a bare call has no time to report
     tab = builtin_tableau(name)
@@ -441,19 +434,20 @@ def test_bare_imex_step_reports_given_step_index(name):
     model = _nan_on_call(tab.s - 1)
     y = RelaxState(u0, 0.5 * np.square(u0))
     with pytest.raises(DivergenceError) as err:
-        imex_step(tab, SpatialOp(g, 1.8), model, cfg.epsilon, y, 0.5 * g.dx / 1.8,
-                  step_index=17)
-    assert (err.value.step, err.value.stage, err.value.time) == (17, tab.s - 1, None)
-    assert str(err.value) == f"non-finite state at step 17, stage {tab.s - 1}"
+        imex_step(tab, SpatialOp(g, 1.8), model, cfg.epsilon, y, 0.5 * g.dx / 1.8)
+    assert (err.value.step, err.value.stage, err.value.time) == (0, tab.s - 1, None)
+    assert str(err.value) == f"non-finite state at step 0, stage {tab.s - 1}"
 
 
 def _divergence_of(step, *args):
+    """The stage a bare step's DivergenceError names, or None when the step passes."""
     # a bare step warns on overflow; solve_forward is what silences that
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step(*args, step_index=3)
+            step(*args)
     except DivergenceError as err:
-        return err.step, err.stage
+        assert (err.step, err.time) == (0, None)
+        return err.stage
     return None
 
 
@@ -473,7 +467,7 @@ def test_step_check_names_the_stage_the_stage_checks_named():
                 args = (tab, SpatialOp(g, 1.8, scheme), model, 1e-6, y, h)
                 got = _divergence_of(imex_step, *args)
                 assert got == _divergence_of(ref_imex_step, *args), (name, scheme, h)
-                seen.add(None if got is None else got[1] == tab.s - 1)
+                seen.add(None if got is None else got == tab.s - 1)
     assert seen == {None, True, False}
 
 
@@ -540,7 +534,7 @@ def test_one_reduction_check_catches_entries_its_sum_could_cancel(monkeypatch, c
             monkeypatch.setattr(module, "apply_dx", _poisoned_apply_dx(j, entries))
             got.append(_divergence_of(step, tab, op, model, 1e-6, y, h))
         monkeypatch.undo()
-        assert got[0] == got[1] == (3, tab.s - 1), name
+        assert got[0] == got[1] == tab.s - 1, name
 
 
 @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])

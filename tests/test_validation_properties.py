@@ -3,18 +3,25 @@
 Every draw of a field, finite, infinite or NaN, either builds an object whose
 derived values are finite or raises a ValueError that names the field:
 Grid's bounds, SpatialOp's speed, ControlProblem's u_d, fd_gradient's theta
-and steepest_descent's max_iter.  Sizes stay small (n_cells <= 8,
+and steepest_descent's tol and max_iter.  Sizes stay small (n_cells <= 8,
 max_iter <= 5) and every FD or descent call has t_final = 0, so no real solve
-runs.  No example database is written (database=None); the cache hypothesis
+runs.  The command line passes its float keys to those checks unchanged: a
+value outside a key's domain makes main exit 1 naming the key, with runs
+small enough (16 cells, t_final 0.05) that a missed check costs little.
+No example database is written (database=None); the cache hypothesis
 keeps under .hypothesis/ ignores itself, and the root .gitignore lists it, so
 a run leaves no untracked file in the checkout.
 """
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from relaxopt.cli import _COMMANDS, _PROBLEM_FIELDS, main  # noqa: E402
 from relaxopt.core import RelaxConfig, burgers_model, make_grid  # noqa: E402
 from relaxopt.optimize import ControlProblem, fd_gradient, steepest_descent  # noqa: E402
 from relaxopt.spatial import SCHEMES, SpatialOp  # noqa: E402
@@ -92,3 +99,63 @@ def test_descent_max_iter(max_iter):
         u, report = run
         assert report.iterations == max_iter
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(report.cost_history))
+
+
+@SETTINGS
+@given(tol=VALUES)
+def test_descent_tol(tol):
+    # an infinite tol would stop every run before its first update
+    problem = _problem()
+    u0 = 0.5 + np.sin(problem.grid.centers)
+    run = _built_or_named(lambda: steepest_descent(problem, u0, tol=tol, max_iter=2), "tol")
+    if run is not None:
+        assert 0 < tol < np.inf
+        _, report = run
+        assert report.converged == (report.final_cost < tol)
+        assert (report.iterations == 0) == (report.cost_history[0] < tol)
+
+
+# Values outside each float key's domain: NaN, both infinities, and the
+# finite values the key refuses.  t_final may be 0 except in an order study.
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_NOT_POSITIVE = _NON_FINITE | st.floats(max_value=0.0)
+_OUTSIDE = {
+    "x_min": _NON_FINITE,
+    "x_max": _NON_FINITE,
+    "epsilon": _NOT_POSITIVE,
+    "c_cfl": _NOT_POSITIVE,
+    "tol": _NOT_POSITIVE,
+    "theta": _NOT_POSITIVE,
+    "t_final": _NON_FINITE | st.floats(max_value=0.0, exclude_max=True),
+    "alpha": _NON_FINITE | st.floats(max_value=0.0) | st.floats(min_value=1.0),
+}
+# small runs, so that a value the library let through would cost little
+_SMALL = {"n_cells": "16", "t_final": "0.05", "grid_sizes": "16", "max_iter": "2",
+          "levels": "3", "n_cells_gradient": "16"}
+_CLI_CASES = [(command, key) for command, (_, reads) in _COMMANDS.items()
+              for key in _PROBLEM_FIELDS + reads if key in _OUTSIDE]
+
+
+@pytest.mark.parametrize("command, key", _CLI_CASES)
+def test_cli_values_outside_their_domain_exit_1_and_name_their_key(command, key, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RELAXOPT_OUTPUT_DIR", raising=False)
+    reads = _PROBLEM_FIELDS + _COMMANDS[command][1]
+    small = [f"--{name.replace('_', '-')}={text}" for name, text in _SMALL.items()
+             if name in reads and name != key]
+    outside = _OUTSIDE[key]
+    if command == "order-study" and key == "t_final":
+        outside = _NOT_POSITIVE
+
+    # tmp_path is one directory for every example, and each example checks it is still empty
+    @settings(database=None, deadline=None, max_examples=10)
+    @given(value=outside)
+    def run(value):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, *small, f"--{key.replace('_', '-')}={value!r}"])
+        assert rc == 1, (value, err.getvalue())
+        assert key in err.getvalue(), (value, err.getvalue())
+        assert list(tmp_path.iterdir()) == []
+    run()
