@@ -18,6 +18,20 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def _count(value, key: str, least: int) -> int:
+    """value as an int, for a count that must be integral and at least `least`.
+
+    8, 8.0 and np.int64(8) all give the int 8; a value that is not integral
+    (2.5, inf, NaN) or is below `least` raises ValueError naming `key`.
+    """
+    if not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value}")
+    value = int(value)
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic 1-D mesh of n_cells cells on [x_min, x_max].
@@ -35,12 +49,7 @@ class Grid:
     centers: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        n_cells = self.n_cells
-        if not float(n_cells).is_integer():
-            raise ValueError(f"n_cells must be an integer, got {n_cells}")
-        n_cells = int(n_cells)
-        if n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+        n_cells = _count(self.n_cells, "n_cells", 2)
         x_min, x_max = self.x_min, self.x_max
         for name, x in (("x_min", x_min), ("x_max", x_max)):
             if not np.isfinite(x):
@@ -74,15 +83,15 @@ class FluxModel:
     name: str = "custom"
 
 
-def check_flux_deriv(model: FluxModel, lo: float = -3.0, hi: float = 3.0,
-                     n_samples: int = 64, h: float = 1e-5) -> float:
+def check_flux_deriv(model: FluxModel) -> float:
     """Verify flux_deriv against a central difference of flux on sampled points.
 
-    Checks |(f(u+h)-f(u-h))/(2h) - f'(u)| <= 1e-6 * (1 + |f'(u)|) at n_samples
-    equispaced points in [lo, hi]; raises ValueError on violation and returns
-    the worst scaled residual otherwise.
+    Checks |(f(u+h)-f(u-h))/(2h) - f'(u)| <= 1e-6 * (1 + |f'(u)|) with
+    h = 1e-5 at 64 equispaced points in [-3, 3]; raises ValueError on
+    violation and returns the worst scaled residual otherwise.
     """
-    u = np.linspace(lo, hi, n_samples)
+    u = np.linspace(-3.0, 3.0, 64)
+    h = 1e-5
     fd = (np.asarray(model.flux(u + h), float) - np.asarray(model.flux(u - h), float)) / (2.0 * h)
     exact = np.asarray(model.flux_deriv(u), float)
     scaled = np.abs(fd - exact) / (1.0 + np.abs(exact))

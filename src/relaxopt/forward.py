@@ -51,7 +51,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import FluxModel, Grid, RelaxState, _const, _pair, relax_init, subchar_speed
+from .core import FluxModel, Grid, RelaxState, _const, _count, _pair, relax_init, subchar_speed
 from .output import write_csv
 from .spatial import SpatialOp, apply_dx
 from .tableau import ImexTableau
@@ -351,11 +351,7 @@ def export_trajectory(problem, tab: ImexTableau, u0: np.ndarray, path: str,
     solve that raises (such as DivergenceError) leaves it as it was.
     Returns the final-only Trajectory (steps == [y_T], stages == []).
     """
-    if not float(stride).is_integer():
-        raise ValueError(f"stride must be an integer, got {stride}")
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    stride = _count(stride, "stride", 1)
     traj = _initial_record(problem, tab, u0, None)
     xs = traj.grid.centers.tolist()
     last = traj.n_steps

@@ -4,18 +4,20 @@ The control is the initial profile u0; the objective is the discrete tracking
 functional J = dx/2 * sum_i (u_i(T) - u_d_i)^2 evaluated after a forward solve
 of the relaxation system.  The descent loop consumes the discrete-adjoint
 gradient; the finite-difference path exists purely as an independent oracle.
+A ControlProblem holds its IMEX pair itself, a registry name being resolved
+when the problem is built, so every solve here reads `problem.tableau`.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .adjoint import assemble_gradient, solve_adjoint
-from .core import FluxModel, Grid, RelaxConfig, subchar_speed
+from .core import FluxModel, Grid, RelaxConfig, _count, subchar_speed
 from .forward import solve_forward
 from .output import write_csv
 from .tableau import ImexTableau, builtin_tableau
@@ -29,7 +31,9 @@ DEFAULT_ALPHA = 0.097
 class ControlProblem:
     """Everything a reduced-cost evaluation needs besides the control itself.
 
-    `tableau` may be a registry name or an ImexTableau instance.  t_final = 0
+    `tableau` may be given as an ImexTableau or as a registry name, which
+    the constructor resolves to the registered pair (an unknown name raises
+    ValueError there), so the field always holds an ImexTableau.  t_final = 0
     is allowed as a degenerate edge (the forward solve is then the identity),
     which keeps the finite-difference oracle testable without time stepping.
     u_d must hold one finite value per cell.  A problem compares and hashes
@@ -41,12 +45,14 @@ class ControlProblem:
     relax: RelaxConfig
     t_final: float
     u_d: np.ndarray
-    tableau: Union[str, ImexTableau]
+    tableau: ImexTableau
     c_cfl: float = 0.5
     scheme: str = "upwind1"
 
     def __post_init__(self):
         object.__setattr__(self, "u_d", np.asarray(self.u_d, dtype=float))
+        if not isinstance(self.tableau, ImexTableau):
+            object.__setattr__(self, "tableau", builtin_tableau(self.tableau))
         if self.u_d.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"u_d has shape {self.u_d.shape}, expected ({self.grid.n_cells},)")
@@ -58,9 +64,8 @@ class ControlProblem:
             raise ValueError(f"c_cfl must be finite and positive, got {self.c_cfl}")
 
     def resolve_tableau(self) -> ImexTableau:
-        if isinstance(self.tableau, ImexTableau):
-            return self.tableau
-        return builtin_tableau(self.tableau)
+        """The problem's pair, the `tableau` field."""
+        return self.tableau
 
 
 class SubcharacteristicError(RuntimeError):
@@ -126,7 +131,7 @@ def cost(u_T: np.ndarray, u_d: np.ndarray, dx: float) -> float:
 
 def reduced_cost(problem: ControlProblem, u0: np.ndarray) -> float:
     """Objective as a function of the control alone: forward solve, then cost at T."""
-    traj = solve_forward(problem, problem.resolve_tableau(), u0, store_stages=False)
+    traj = solve_forward(problem, problem.tableau, u0, store_stages=False)
     return cost(traj.steps[-1].u, problem.u_d, problem.grid.dx)
 
 
@@ -162,8 +167,6 @@ def fd_gradient(problem: ControlProblem, u0: np.ndarray, theta: float = 1e-6) ->
     if math.isfinite(top) and not math.isfinite(top + theta * (1.0 + top)):
         raise ValueError(f"theta = {theta} perturbs u0 beyond the float range")
     frozen = _frozen_speed_problem(problem, u0)
-    # resolve a registry name once, not once per perturbed solve
-    frozen = replace(frozen, tableau=frozen.resolve_tableau())
     grad = np.zeros_like(u0)
     for i in range(u0.size):
         th = theta * (1.0 + abs(u0[i]))
@@ -205,12 +208,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not float(max_iter).is_integer():
-        raise ValueError(f"max_iter must be an integer, got {max_iter}")
-    max_iter = int(max_iter)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    tab = problem.resolve_tableau()
+    max_iter = _count(max_iter, "max_iter", 0)
     dx = problem.grid.dx
     u0 = np.asarray(u0_start, dtype=float).copy()
     problem = _frozen_speed_problem(problem, u0, problem.u_d)
@@ -225,7 +223,7 @@ def steepest_descent(problem: ControlProblem, u0_start: np.ndarray,
         margin = float(np.max(np.abs(np.asarray(problem.model.flux_deriv(u0), float)))) / a
         if not margin <= 1.0:   # a NaN margin fails too
             raise SubcharacteristicError(iterations, margin, a)
-        traj = solve_forward(problem, tab, u0, store_stages=True)
+        traj = solve_forward(problem, problem.tableau, u0, store_stages=True)
         costs.append(cost(traj.steps[-1].u, problem.u_d, dx))
         if costs[-1] < tol or iterations >= max_iter:
             break

@@ -89,7 +89,7 @@ _HALF = _const(0.5)
 # The numpy calls of the stencils, bound once; each takes its output array
 # positionally, which numpy parses faster than an out= keyword
 _abs, _add, _subtract, _multiply = np.abs, np.add, np.subtract, np.multiply
-_less_equal, _copyto, _putmask = np.less_equal, np.copyto, np.putmask
+_less_equal, _putmask = np.less_equal, np.putmask
 
 
 class _Limiter:
@@ -233,7 +233,7 @@ def _branches(lim: _Limiter):
 
 def _select(out, x, y, lim: _Limiter):
     """Write where(zero, 0.0, where(left, x, y)) into out, with the branches in lim."""
-    _copyto(out, y)
+    out[...] = y    # np.copyto would pay numpy's array-function dispatch per call
     _putmask(out, lim.left, x)
     _putmask(out, lim.zero, _ZERO)
 

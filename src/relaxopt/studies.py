@@ -200,8 +200,7 @@ def tracking_problem(template: ControlProblem, n_cells: int) -> ControlProblem:
     target_src = _default_u0(grid.centers)
     probe = _frozen_speed_problem(
         dataclasses.replace(template, grid=grid, u_d=np.zeros(grid.n_cells)), target_src)
-    traj = solve_forward(probe, probe.resolve_tableau(), target_src,
-                         store_stages=False)
+    traj = solve_forward(probe, probe.tableau, target_src, store_stages=False)
     return dataclasses.replace(probe, u_d=traj.steps[-1].u)
 
 
@@ -244,8 +243,7 @@ def gradient_report(problem: ControlProblem, u0: np.ndarray,
     """
     u0 = np.asarray(u0, dtype=float)
     frozen = _frozen_speed_problem(problem, u0)
-    tab = frozen.resolve_tableau()
-    traj = solve_forward(frozen, tab, u0, store_stages=True)
+    traj = solve_forward(frozen, frozen.tableau, u0, store_stages=True)
     rec = solve_adjoint(traj, frozen.u_d)
     g_adj = assemble_gradient(rec, u0, frozen.model)
     g_fd = fd_gradient(problem, u0, theta=theta)
@@ -265,8 +263,11 @@ def consistency_checks(template: ControlProblem, tab: ImexTableau, seed: int = 0
     with the linearized one on random vectors drawn from `seed` (1e-12); the
     gradients of every adjoint form agree (1e-11); the adjoint gradient
     matches central differences with step theta (1e-4).  passed is None for
-    the form comparison when a zero weight leaves only the xi form.
+    the form comparison when a zero weight leaves only the xi form.  theta
+    must be finite and positive, which is checked before any solve runs.
     """
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     checks: List[Tuple[str, Optional[bool], str]] = []
 
     weight_res = max(abs(float(np.sum(tab.w_tilde)) - 1.0),

@@ -8,9 +8,15 @@ nonzero, or the entries themselves (the xi form); the steppers build their
 own coefficient plans from these arrays.  Whether the coupled forward/adjoint
 system retains third order depends on extra algebraic conditions that
 `check_order` evaluates alongside the standard ones.
+
+The registry holds four named pairs, built once when the module is
+imported; `builtin_tableau(name)` returns the registered object itself, so
+every caller of one name shares one pair.  `load_tableau_file` reads any
+other pair from a text file.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional
@@ -269,56 +275,42 @@ def check_order(tab: ImexTableau) -> OrderReport:
 _SQRT2 = float(np.sqrt(2.0))
 _G222 = 1.0 - 1.0 / _SQRT2
 
-
-def _build_imex_euler() -> ImexTableau:
+# The registered pairs, each built once.  A pair is frozen and its arrays are
+# read-only, so every lookup shares it, and the steppers' plan memos, keyed by
+# the pair, keep serving it.  tests/test_tableau.py pins each pair's order.
+_REGISTRY = {tab.name: tab for tab in (
     # Explicit Euler for transport, implicit Euler for the source.
-    return ImexTableau("imex-euler", [[0.0]], [[1.0]], [1.0], [1.0])
-
-
-def _build_ars_222() -> ImexTableau:
+    ImexTableau("imex-euler", [[0.0]], [[1.0]], [1.0], [1.0]),
     # Two-stage second-order pair with all weights nonzero, so the adjoint
     # coefficient matrices exist (gamma = 1 - 1/sqrt(2) on the implicit diagonal).
-    return ImexTableau(
-        "ars-222",
-        [[0.0, 0.0], [1.0, 0.0]],
-        [[_G222, 0.0], [1.0 - 2.0 * _G222, _G222]],
-        [0.5, 0.5],
-        [0.5, 0.5])
-
-
-def _build_ars_443() -> ImexTableau:
+    ImexTableau("ars-222",
+                [[0.0, 0.0], [1.0, 0.0]],
+                [[_G222, 0.0], [1.0 - 2.0 * _G222, _G222]],
+                [0.5, 0.5],
+                [0.5, 0.5]),
     # Five-stage (one padding stage) third-order pair; several weights are
     # zero, which exercises the xi-form adjoint fallback.
-    a_tilde = [[0, 0, 0, 0, 0],
-               [1 / 2, 0, 0, 0, 0],
-               [11 / 18, 1 / 18, 0, 0, 0],
-               [5 / 6, -5 / 6, 1 / 2, 0, 0],
-               [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0]]
-    a_impl = [[0, 0, 0, 0, 0],
-              [0, 1 / 2, 0, 0, 0],
-              [0, 1 / 6, 1 / 2, 0, 0],
-              [0, -1 / 2, 1 / 2, 1 / 2, 0],
-              [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]]
-    return ImexTableau("ars-443", a_tilde, a_impl,
-                       [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0],
-                       [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2])
-
-
-def _build_bpr_343() -> ImexTableau:
+    ImexTableau("ars-443",
+                [[0, 0, 0, 0, 0],
+                 [1 / 2, 0, 0, 0, 0],
+                 [11 / 18, 1 / 18, 0, 0, 0],
+                 [5 / 6, -5 / 6, 1 / 2, 0, 0],
+                 [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0]],
+                [[0, 0, 0, 0, 0],
+                 [0, 1 / 2, 0, 0, 0],
+                 [0, 1 / 6, 1 / 2, 0, 0],
+                 [0, -1 / 2, 1 / 2, 1 / 2, 0],
+                 [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]],
+                [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0],
+                [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]),
     # Three-stage third-order pair with all weights nonzero; passes the
     # gamma branch of the coupled-system third-order conditions.
-    a_tilde = [[0, 0, 0], [1 / 2, 0, 0], [-1.0, 2.0, 0]]
-    a_impl = [[0, 0, 0], [1 / 4, 1 / 4, 0], [1 / 4, 1 / 2, 1 / 4]]
-    wts = [1 / 6, 2 / 3, 1 / 6]
-    return ImexTableau("bpr-343", a_tilde, a_impl, wts, list(wts))
-
-
-_REGISTRY = {
-    "imex-euler": (_build_imex_euler, 1),
-    "ars-222": (_build_ars_222, 2),
-    "ars-443": (_build_ars_443, 3),
-    "bpr-343": (_build_bpr_343, 3),
-}
+    ImexTableau("bpr-343",
+                [[0, 0, 0], [1 / 2, 0, 0], [-1.0, 2.0, 0]],
+                [[0, 0, 0], [1 / 4, 1 / 4, 0], [1 / 4, 1 / 2, 1 / 4]],
+                [1 / 6, 2 / 3, 1 / 6],
+                [1 / 6, 2 / 3, 1 / 6]),
+)}
 
 
 def builtin_names() -> list:
@@ -326,21 +318,13 @@ def builtin_names() -> list:
 
 
 def builtin_tableau(name: str) -> ImexTableau:
-    """Look up a registered tableau pair and confirm its claimed forward order."""
+    """The registered pair `name`, the same object on every call."""
     try:
-        build, claimed = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown tableau '{name}'; available: {', '.join(builtin_names())}"
         ) from None
-    tab = build()
-    report = check_order(tab)
-    if report.forward_order != claimed:
-        raise AssertionError(
-            f"registered tableau '{name}' claims order {claimed} but checks at "
-            f"{report.forward_order}"
-        )
-    return tab
 
 
 # ----------------------------------------------------------- file loading
@@ -353,8 +337,8 @@ def _parse_number(token: str, path: str, line_no: int) -> float:
         raise TableauParseError(path, line_no, f"cannot parse number {token!r}") from None
 
 
-def load_tableau_file(path: str, name: Optional[str] = None) -> ImexTableau:
-    """Read a tableau pair from a line-oriented text file.
+def load_tableau_file(path: str) -> ImexTableau:
+    """Read a tableau pair, named after the file's base name, from a line-oriented text file.
 
     Format: blank lines and '#' comments are skipped; the first significant
     line holds the stage count s; then s rows of the explicit matrix, s rows
@@ -399,9 +383,7 @@ def load_tableau_file(path: str, name: Optional[str] = None) -> ImexTableau:
     w_tilde = parse_row(body[2 * s], s, "explicit weights")
     w = parse_row(body[2 * s + 1], s, "implicit weights")
 
-    if name is None:
-        import os
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     try:
         return ImexTableau(name, a_tilde, a_impl, w_tilde, w)
     except ValueError as exc:

@@ -19,6 +19,7 @@ from relaxopt import adjoint
 from relaxopt.core import RelaxConfig, burgers_model, make_grid
 from relaxopt.forward import solve_forward
 from relaxopt.optimize import ControlProblem, _frozen_speed_problem
+from relaxopt.tableau import builtin_names, builtin_tableau
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +53,17 @@ def test_tracking_table_looks_up_the_generating_profile_per_grid(monkeypatch):
                               u_d=np.zeros(16), tableau="imex-euler")
     studies.tracking_table(template, [24], max_iter=0)
     assert calls == [24]
+
+
+def test_a_template_built_from_a_name_holds_the_registered_pair():
+    # the workloads build their problems from registry names and pass
+    # resolve_tableau() to solve_forward
+    g = make_grid(0.0, 2.0 * np.pi, 16)
+    for name in builtin_names():
+        template = ControlProblem(grid=g, model=burgers_model(),
+                                  relax=RelaxConfig(epsilon=1e-6), t_final=0.2,
+                                  u_d=np.zeros(16), tableau=name)
+        assert template.resolve_tableau() is builtin_tableau(name)
 
 
 def test_stored_linear_record_keeps_its_shape_and_every_form_sweeps_it():

@@ -219,6 +219,13 @@ def test_non_finite_values_are_named(command, key, value, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_check_names_theta_before_its_first_solve(capsys):
+    # bpr-343's forward solve diverges at the default epsilon, so a theta
+    # check that came after it would exit 2
+    assert main(["check", "--tableau", "bpr-343", "--theta", "0"]) == 1
+    assert "theta must be finite and positive" in capsys.readouterr().err
+
+
 def _unread_flags(command):
     """Every RunConfig flag `command` does not read, each with a legal value."""
     reads = _PROBLEM_FIELDS + _COMMANDS[command][1]

@@ -72,7 +72,7 @@ def test_burgers_flux_values():
 def test_flux_deriv_consistency_sampled():
     # 64 equispaced samples in [-3, 3], h = 1e-5, scaled residual <= 1e-6
     for model in (burgers_model(), advection_model(0.7)):
-        worst = check_flux_deriv(model, -3.0, 3.0, 64, 1e-5)
+        worst = check_flux_deriv(model)
         assert worst <= 1e-6
 
 

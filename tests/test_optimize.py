@@ -12,6 +12,7 @@ from relaxopt.optimize import (DEFAULT_ALPHA, ControlProblem, SubcharacteristicE
                                _frozen_speed_problem)
 from relaxopt.cli import RunConfig
 from relaxopt.studies import tracking_problem, tracking_table
+from relaxopt.tableau import builtin_names, builtin_tableau
 
 
 def _problem(n=50, t_final=0.5, tableau="ars-222", u_d=None, eps=1e-6, a=None):
@@ -66,14 +67,25 @@ def test_fd_gradient_zero_horizon_limit():
     assert np.array_equal(fd_gradient(prob0, u0), np.zeros(n))
 
 
-def test_fd_gradient_checks_registered_tableau_once(monkeypatch):
+def test_fd_gradient_makes_no_check_order_call_for_a_registered_pair(monkeypatch):
     import relaxopt.tableau as tableau
     calls = []
     check_order = tableau.check_order
     monkeypatch.setattr(tableau, "check_order",
                         lambda *args, **kw: calls.append(1) or check_order(*args, **kw))
     fd_gradient(_problem(n=8, t_final=0.0), np.zeros(8))
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_problem_holds_the_registered_pair_of_its_name():
+    prob = _problem(n=8, tableau="bpr-343")
+    assert prob.tableau is builtin_tableau("bpr-343")
+    assert prob.resolve_tableau() is prob.tableau
+    assert dataclasses.replace(prob, t_final=0.1).tableau is prob.tableau
+    with pytest.raises(ValueError) as exc:
+        _problem(n=8, tableau="nope")
+    assert "nope" in str(exc.value)
+    assert all(name in str(exc.value) for name in builtin_names())
 
 
 def test_fd_gradient_truncation_is_second_order():

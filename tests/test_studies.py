@@ -177,6 +177,16 @@ def test_gradient_report_zero_gradient_at_attained_target():
     assert np.max(np.abs(fd_gradient(prob, u0, theta=1e-6))) <= 1e-9
 
 
+@pytest.mark.parametrize("theta", [0.0, -1e-6, np.inf, np.nan])
+def test_consistency_checks_reject_theta_before_solving(theta, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_forward ran")
+    monkeypatch.setattr("relaxopt.studies.solve_forward", no_solve)
+    with pytest.raises(ValueError, match="theta must be finite and positive"):
+        consistency_checks(_template(n=50, eps=1e-6), builtin_tableau("bpr-343"),
+                           theta=theta)
+
+
 @pytest.mark.parametrize("name", ["ars-222", "ars-443"])
 def test_consistency_checks_rows(name):
     # ars-443 has a zero weight, so every sweep falls back to xi: nothing to compare

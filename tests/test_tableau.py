@@ -144,6 +144,18 @@ def test_perturbed_tableau_rejected_at_nominal_order():
     assert rep.forward_order < 2
 
 
+def test_every_lookup_returns_the_registered_pair_without_checking_its_order(monkeypatch):
+    # the registry builds each pair once; a lookup neither builds nor order-checks one
+    import relaxopt.tableau as tableau
+    calls = []
+    monkeypatch.setattr(tableau, "check_order", lambda *args, **kw: calls.append(1))
+    for name in builtin_names():
+        tab = builtin_tableau(name)
+        assert tab.name == name
+        assert builtin_tableau(name) is tab
+    assert calls == []
+
+
 def test_unknown_name_lists_registry():
     with pytest.raises(ValueError) as exc:
         builtin_tableau("nope")
@@ -397,8 +409,9 @@ def test_pair_keeps_its_adjoint_coeffs():
 
 def test_pairs_and_adjoint_coeffs_compare_and_hash_by_identity():
     # their fields are arrays, so a field-wise == would ask numpy for the truth
-    # value of an elementwise comparison
-    tab, again = builtin_tableau("ars-222"), builtin_tableau("ars-222")
+    # value of an elementwise comparison; `again` holds the same entries
+    tab = builtin_tableau("ars-222")
+    again = ImexTableau(tab.name, tab.a_tilde, tab.a_impl, tab.w_tilde, tab.w)
     assert tab == tab and tab != again
     assert tab.adjoint_coeffs == tab.adjoint_coeffs
     assert tab.adjoint_coeffs != again.adjoint_coeffs
